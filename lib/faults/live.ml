@@ -360,7 +360,11 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
        }
      in
      let h = hooks ~seed:((seed * 131) + 97) sc.sc_plan in
-     let r = Sdk.run_workload ~hooks:h ~algorithm ~seed ~workload sdk_cfg in
+     let r =
+       Sdk.run_keyed ~hooks:h ~algorithm ~seed
+         ~workload:(Array.map (List.map (fun kind -> ("", kind))) workload)
+         sdk_cfg
+     in
      let history =
        Sb_spec.History.of_trace ~initial:spec.sp_initial r.Sdk.trace
      in
@@ -388,9 +392,9 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
         under message loss a server can permanently miss the final GC
         round and legitimately retain a stale block — the paper's
         floor presumes eventual delivery.  Fault-free writes from
-        fresh client ids (clear of the main run's dedup keys, and of
-        each other's — a repeated cid would replay from the at-most-
-        once table instead of applying) stand in for it.  One flush
+        fresh client ids (clear of the main run's timestamps, and of
+        each other's — a repeated cid could reuse the timestamp of a
+        write an earlier run left incomplete) stand in for it.  One flush
         usually suffices, but the daemon-side hooks still fault its
         *replies* and can refuse its dials, so a server can miss even
         the flush's GC round; we retry with a new client id until the
@@ -425,15 +429,16 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
          Array.init (flush_cid + 1) (fun i ->
              if i = flush_cid then
                [
-                 Sb_sim.Trace.Write
-                   (Sb_util.Values.distinct
-                      ~value_bytes:spec.sp_value_bytes
-                      (1000 + (seed * 8) + attempt));
+                 ( "",
+                   Sb_sim.Trace.Write
+                     (Sb_util.Values.distinct
+                        ~value_bytes:spec.sp_value_bytes
+                        (1000 + (seed * 8) + attempt)) );
                ]
              else [])
        in
        ignore
-         (Sdk.run_workload ~algorithm:(spec.sp_make ())
+         (Sdk.run_keyed ~algorithm:(spec.sp_make ())
             ~seed:(seed + 7777 + attempt) ~workload:flush_workload flush_cfg);
        census ()
      in

@@ -1,5 +1,5 @@
-open Effect.Deep
 module R = Sb_sim.Runtime
+module Engine = Sb_sim.Engine
 module Trace = Sb_sim.Trace
 module Objstate = Sb_storage.Objstate
 module Score = Sb_service.Server_core
@@ -47,21 +47,10 @@ type message_info = {
   sent_at : int;
 }
 
-type fiber_outcome = Done of bytes option | Blocked
-
-type parked = {
-  w_tickets : int list;
-  w_quorum : int;
-  w_k : ((int * R.resp) list, fiber_outcome) continuation;
-}
-
 type client = {
-  cid : int;
+  fb : Engine.fiber;
   mutable queue : Trace.op_kind list;
   mutable crashed : bool;
-  mutable waiting : parked option;
-  mutable current_op : R.op option;
-  c_prng : Sb_util.Prng.t;
 }
 
 (* The timer wheel itself lives in [Sb_service.Client_core], shared
@@ -93,7 +82,6 @@ type world = {
   init_states : Objstate.t array;
   (* Pristine [init_obj] states for Byzantine stale-echo policies. *)
   retransmit : retransmit_config option;
-  algorithm : R.algorithm;
   (* Each server is a [Sb_service.Server_core]: durable objstate,
      incarnation counter, and the volatile per-incarnation at-most-once
      table ((client, ticket) -> recorded response; the dedup key is
@@ -110,9 +98,12 @@ type world = {
   timers : message Rt.t; (* keyed by ticket *)
   mutable next_msg : int;
   mutable next_ticket : int;
-  mutable next_op : int;
   mutable now : int;
-  tr : Trace.t;
+  eng : world Engine.t;
+  (* Runs the client fibers and keeps the trace and the observers, with
+     the same contract as [Runtime.add_observer]: monitors consume the
+     shared-memory event vocabulary, with servers in the object role. *)
+  tr : Trace.t; (* [Engine.trace eng] *)
   mutable max_server_bits : int;
   mutable max_channel_bits : int;
   mutable max_combined_bits : int;
@@ -125,9 +116,6 @@ type world = {
   mutable dedup_hits : int;
   mutable dropped_at_crash : int;
   mutable recoveries : int;
-  mutable observers : (R.event -> unit) list;
-  (* Same contract as [Runtime.add_observer]: monitors consume the
-     shared-memory event vocabulary, with servers in the object role. *)
 }
 
 let resp_bits = function
@@ -154,67 +142,9 @@ let info_of (m : message) : message_info =
     sent_at = m.sent_at;
   }
 
-let create ?(seed = 1) ?(fifo = false) ?(dedup = true) ?retransmit
-    ?(base_model = Sb_baseobj.Model.Rmw) ?byz ~algorithm ~n ~f ~workload () =
-  if f < 0 || 2 * f >= n then invalid_arg "Mp_runtime.create: need 0 <= f < n/2";
-  (match byz with
-  | Some policy -> Sb_baseobj.Model.check_policy base_model ~n policy
-  | None -> ());
-  (match retransmit with
-   | Some { rto; _ } when rto <= 0 ->
-     invalid_arg "Mp_runtime.create: retransmission timeout must be positive"
-   | _ -> ());
-  let root = Sb_util.Prng.create seed in
-  {
-    n;
-    f;
-    fifo;
-    base_model;
-    byz;
-    init_states = Array.init n algorithm.R.init_obj;
-    retransmit;
-    algorithm;
-    servers = Array.init n (fun i -> Score.create ~dedup (algorithm.R.init_obj i));
-    server_live = Array.make n true;
-    clients =
-      Array.mapi
-        (fun i ops ->
-          {
-            cid = i;
-            queue = ops;
-            crashed = false;
-            waiting = None;
-            current_op = None;
-            c_prng = Sb_util.Prng.split root;
-          })
-        workload;
-    channel = Hashtbl.create 64;
-    channel_order = [];
-    responses = Mailbox.create ();
-    timers = Rt.create ();
-    next_msg = 1;
-    next_ticket = 1;
-    next_op = 1;
-    now = 0;
-    tr = Trace.create ();
-    max_server_bits = 0;
-    max_channel_bits = 0;
-    max_combined_bits = 0;
-    requests_sent = 0;
-    responses_sent = 0;
-    dropped = 0;
-    duplicated = 0;
-    retransmissions = 0;
-    fenced = 0;
-    dedup_hits = 0;
-    dropped_at_crash = 0;
-    recoveries = 0;
-    observers = [];
-  }
-
-let add_observer w f = w.observers <- w.observers @ [ f ]
-let observed w = w.observers <> []
-let emit w ev = List.iter (fun f -> f ev) w.observers
+let add_observer w f = Engine.add_observer w.eng f
+let observed w = Engine.observed w.eng
+let emit w ev = Engine.emit w.eng ev
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
@@ -265,7 +195,7 @@ let net_stats w =
 
 let outstanding_ops w =
   Array.to_list w.clients
-  |> List.filter_map (fun cl -> if cl.crashed then None else cl.current_op)
+  |> List.filter_map (fun cl -> if cl.crashed then None else cl.fb.current)
 
 (* ||S(t,w)|| over the message-passing world: blocks at live servers,
    request payloads in flight from clients other than w's own, and
@@ -313,7 +243,7 @@ let timer_live w ticket (t : message Rt.timer) =
      | Some rc -> Rt.within_budget rc t)
   &&
   let cl = w.clients.(t.Rt.owner) in
-  (not cl.crashed) && cl.current_op <> None
+  (not cl.crashed) && Option.is_some cl.fb.current
 
 let pending_retransmits w = Rt.pending w.timers ~live:(timer_live w)
 let due_retransmits w = Rt.due w.timers ~now:w.now ~live:(timer_live w)
@@ -327,6 +257,11 @@ let responses_for w tickets = Mailbox.responses_for w.responses ~tickets
 let await_satisfied w tickets quorum =
   Mailbox.satisfied w.responses ~tickets ~quorum
 
+let fresh_msg_id w =
+  let id = w.next_msg in
+  w.next_msg <- id + 1;
+  id
+
 let send w (msg : message) =
   (match msg.kind with
    | Request -> w.requests_sent <- w.requests_sent + 1
@@ -334,120 +269,117 @@ let send w (msg : message) =
   Hashtbl.add w.channel msg.msg_id msg;
   w.channel_order <- msg.msg_id :: w.channel_order
 
-let handle_fiber w (cl : client) (op : R.op) (body : unit -> bytes option) :
-    fiber_outcome =
-  match_with body ()
-    {
-      retc = (fun r -> Done r);
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | R.Trigger (obj, payload, rmw, nature, desc) ->
-            Some
-              (fun (k : (b, fiber_outcome) continuation) ->
-                if obj < 0 || obj >= w.n then
-                  invalid_arg "Mp_runtime: no such server";
-                Sb_baseobj.Model.check_op w.base_model
-                  (Option.map Sb_sim.Rmwdesc.op_class desc);
-                let ticket = w.next_ticket in
-                w.next_ticket <- ticket + 1;
-                let msg_id = w.next_msg in
-                w.next_msg <- msg_id + 1;
-                let msg =
-                  {
-                    msg_id;
-                    kind = Request;
-                    m_client = cl.cid;
-                    m_server = obj;
-                    m_ticket = ticket;
-                    m_op = op.R.id;
-                    req = Some (rmw, payload);
-                    m_desc = desc;
-                    resp = None;
-                    m_nature = nature;
-                    m_incarnation = Score.incarnation w.servers.(obj);
-                    sent_at = w.now;
-                  }
-                in
-                send w msg;
-                (match w.retransmit with
-                 | Some rc ->
-                   Rt.arm w.timers ~ticket ~owner:cl.cid
-                     ~deadline:(w.now + rc.rto) msg
-                 | None -> ());
-                Trace.add w.tr
-                  (Rmw_trigger
-                     {
-                       time = w.now;
-                       ticket;
-                       op = op.R.id;
-                       client = cl.cid;
-                       obj;
-                       payload_bits = Sb_storage.Accounting.bits_of_blocks payload;
-                     });
-                if observed w then
-                  emit w (R.E_trigger { ticket; obj; op; nature; payload; desc });
-                continue k ticket)
-          | R.Await (tickets, quorum) ->
-            Some
-              (fun (k : (b, fiber_outcome) continuation) ->
-                if await_satisfied w tickets quorum then begin
-                  let rs = responses_for w tickets in
-                  clear_timers w tickets;
-                  if observed w then
-                    emit w (R.E_await { op; tickets; quorum; responders = rs });
-                  continue k rs
-                end
-                else begin
-                  cl.waiting <- Some { w_tickets = tickets; w_quorum = quorum; w_k = k };
-                  Blocked
-                end)
-          | _ -> None);
-    }
+(* Messages as a transport of the client engine: a trigger sends a
+   request (and arms its retransmission timer), an await reads the
+   responses that have come back. *)
+let transport =
+  {
+    Engine.send =
+      (fun w fb op obj payload rmw nature desc ->
+        let ticket = w.next_ticket in
+        w.next_ticket <- ticket + 1;
+        let msg =
+          {
+            msg_id = fresh_msg_id w;
+            kind = Request;
+            m_client = fb.Engine.cid;
+            m_server = obj;
+            m_ticket = ticket;
+            m_op = op.R.id;
+            req = Some (rmw, payload);
+            m_desc = desc;
+            resp = None;
+            m_nature = nature;
+            m_incarnation = Score.incarnation w.servers.(obj);
+            sent_at = w.now;
+          }
+        in
+        send w msg;
+        (match w.retransmit with
+         | Some rc ->
+           Rt.arm w.timers ~ticket ~owner:fb.cid ~deadline:(w.now + rc.rto) msg
+         | None -> ());
+        ticket);
+    ready = (fun w tickets quorum -> await_satisfied w tickets quorum);
+    collect =
+      (fun w _ tickets ->
+        let rs = responses_for w tickets in
+        clear_timers w tickets;
+        rs);
+    started = (fun _ _ -> ());
+    retired = (fun _ _ _ -> ());
+    clock = (fun w -> w.now);
+    traced = true;
+  }
 
-let finish_op w cl (op : R.op) result =
-  cl.current_op <- None;
-  Trace.add w.tr (Return { time = w.now; op = op.R.id; client = cl.cid; result });
-  if observed w then emit w (R.E_return { op; result })
+let create ?(seed = 1) ?(fifo = false) ?(dedup = true) ?retransmit
+    ?(base_model = Sb_baseobj.Model.Rmw) ?byz ~algorithm ~n ~f ~workload () =
+  if f < 0 || 2 * f >= n then invalid_arg "Mp_runtime.create: need 0 <= f < n/2";
+  (match byz with
+  | Some policy -> Sb_baseobj.Model.check_policy base_model ~n policy
+  | None -> ());
+  (match retransmit with
+   | Some { rto; _ } when rto <= 0 ->
+     invalid_arg "Mp_runtime.create: retransmission timeout must be positive"
+   | _ -> ());
+  let root = Sb_util.Prng.create seed in
+  let eng = Engine.create ~n ~algorithm ~base_model transport in
+  {
+    n;
+    f;
+    fifo;
+    base_model;
+    byz;
+    init_states = Array.init n algorithm.R.init_obj;
+    retransmit;
+    servers = Array.init n (fun i -> Score.create ~dedup (algorithm.R.init_obj i));
+    server_live = Array.make n true;
+    clients =
+      Array.mapi
+        (fun i ops ->
+          {
+            fb = Engine.fiber ~cid:i ~prng:(Sb_util.Prng.split root);
+            queue = ops;
+            crashed = false;
+          })
+        workload;
+    channel = Hashtbl.create 64;
+    channel_order = [];
+    responses = Mailbox.create ();
+    timers = Rt.create ();
+    next_msg = 1;
+    next_ticket = 1;
+    now = 0;
+    eng;
+    tr = Engine.trace eng;
+    max_server_bits = 0;
+    max_channel_bits = 0;
+    max_combined_bits = 0;
+    requests_sent = 0;
+    responses_sent = 0;
+    dropped = 0;
+    duplicated = 0;
+    retransmissions = 0;
+    fenced = 0;
+    dedup_hits = 0;
+    dropped_at_crash = 0;
+    recoveries = 0;
+  }
 
 let invoke_next w cl =
   match cl.queue with
   | [] -> invalid_arg "Mp_runtime.step: client has no queued operation"
   | kind :: rest ->
     cl.queue <- rest;
-    let op = { R.id = w.next_op; client = cl.cid; kind; rounds = 0 } in
-    w.next_op <- w.next_op + 1;
-    cl.current_op <- Some op;
-    Trace.add w.tr (Invoke { time = w.now; op = op.R.id; client = cl.cid; kind });
-    if observed w then emit w (R.E_invoke { op });
-    let ctx = { R.self = cl.cid; op; n_objects = w.n; prng = cl.c_prng } in
-    let body () =
-      match kind with
-      | Trace.Write v ->
-        w.algorithm.R.write ctx v;
-        None
-      | Trace.Read -> w.algorithm.R.read ctx
-    in
-    (match handle_fiber w cl op body with
-     | Done result -> finish_op w cl op result
-     | Blocked -> ())
+    ignore (Engine.start w.eng w cl.fb kind)
 
 let resume w cl =
-  match cl.waiting with
+  match cl.fb.waiting with
   | None -> invalid_arg "Mp_runtime.step: client is not waiting"
-  | Some { w_tickets; w_quorum; w_k } ->
-    if not (await_satisfied w w_tickets w_quorum) then
+  | Some p ->
+    if not (await_satisfied w p.tickets p.quorum) then
       invalid_arg "Mp_runtime.step: client's quorum is not satisfied";
-    cl.waiting <- None;
-    let op = match cl.current_op with Some op -> op | None -> assert false in
-    let rs = responses_for w w_tickets in
-    clear_timers w w_tickets;
-    if observed w then
-      emit w (R.E_await { op; tickets = w_tickets; quorum = w_quorum; responders = rs });
-    (match continue w_k rs with
-     | Done result -> finish_op w cl op result
-     | Blocked -> ())
+    ignore (Engine.resume w.eng w cl.fb)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
@@ -509,21 +441,15 @@ let steppable w =
   |> List.filter_map (fun cl ->
          if cl.crashed then None
          else
-           match (cl.current_op, cl.waiting) with
-           | None, _ when cl.queue <> [] -> Some cl.cid
-           | Some _, Some { w_tickets; w_quorum; _ }
-             when await_satisfied w w_tickets w_quorum ->
-             Some cl.cid
+           match (cl.fb.current, cl.fb.waiting) with
+           | None, _ when cl.queue <> [] -> Some cl.fb.cid
+           | Some _, Some p when await_satisfied w p.tickets p.quorum ->
+             Some cl.fb.cid
            | _ -> None)
 
 let remove_msg w id =
   Hashtbl.remove w.channel id;
   w.channel_order <- List.filter (fun i -> i <> id) w.channel_order
-
-let fresh_msg_id w =
-  let id = w.next_msg in
-  w.next_msg <- id + 1;
-  id
 
 let send_response w ~(to_request : message) resp =
   if not w.clients.(to_request.m_client).crashed then
@@ -542,6 +468,28 @@ let send_response w ~(to_request : message) resp =
         m_incarnation = Score.incarnation w.servers.(to_request.m_server);
         sent_at = w.now;
       }
+
+(* A request took effect at its server (or a compromised server claims
+   it did): trace and report the delivery, then answer. *)
+let applied w (m : message) rmw ~before ~after resp =
+  Trace.add w.tr
+    (Rmw_deliver { time = w.now; ticket = m.m_ticket; obj = m.m_server });
+  if observed w then
+    emit w
+      (R.E_deliver
+         {
+           ticket = m.m_ticket;
+           obj = m.m_server;
+           client = m.m_client;
+           op = m.m_op;
+           nature = m.m_nature;
+           rmw;
+           before;
+           after;
+           resp;
+           observable = not w.clients.(m.m_client).crashed;
+         });
+  send_response w ~to_request:m resp
 
 let deliver_msg w id =
   match Hashtbl.find_opt w.channel id with
@@ -591,24 +539,7 @@ let deliver_msg w id =
             | Sb_baseobj.Model.Fabricate fake -> R.Snap fake
             | _ -> R.Ack
           in
-          Trace.add w.tr
-            (Rmw_deliver { time = w.now; ticket = m.m_ticket; obj = m.m_server });
-          if observed w then
-            emit w
-              (R.E_deliver
-                 {
-                   ticket = m.m_ticket;
-                   obj = m.m_server;
-                   client = m.m_client;
-                   op = m.m_op;
-                   nature = m.m_nature;
-                   rmw;
-                   before = st;
-                   after = st;
-                   resp;
-                   observable = not w.clients.(m.m_client).crashed;
-                 });
-          send_response w ~to_request:m resp
+          applied w m rmw ~before:st ~after:st resp
         | Sb_baseobj.Model.Honest ->
         (* The shared server core either answers from the at-most-once
            table (a duplicate within this incarnation: network
@@ -622,26 +553,9 @@ let deliver_msg w id =
           w.dedup_hits <- w.dedup_hits + 1;
           send_response w ~to_request:m oc.Score.resp
         end
-        else begin
-          Trace.add w.tr
-            (Rmw_deliver { time = w.now; ticket = m.m_ticket; obj = m.m_server });
-          if observed w then
-            emit w
-              (R.E_deliver
-                 {
-                   ticket = m.m_ticket;
-                   obj = m.m_server;
-                   client = m.m_client;
-                   op = m.m_op;
-                   nature = m.m_nature;
-                   rmw;
-                   before = oc.Score.before;
-                   after = oc.Score.after;
-                   resp = oc.Score.resp;
-                   observable = not w.clients.(m.m_client).crashed;
-                 });
-          send_response w ~to_request:m oc.Score.resp
-        end)
+        else
+          applied w m rmw ~before:oc.Score.before ~after:oc.Score.after
+            oc.Score.resp)
       | Response ->
         let resp = match m.resp with Some r -> r | None -> assert false in
         Mailbox.record w.responses ~ticket:m.m_ticket ~obj:m.m_server resp;
@@ -657,7 +571,7 @@ let step w decision =
     | Step c ->
       let cl = w.clients.(c) in
       if cl.crashed then invalid_arg "Mp_runtime.step: client has crashed";
-      (match (cl.current_op, cl.waiting) with
+      (match (cl.fb.current, cl.fb.waiting) with
        | None, _ when cl.queue <> [] ->
          invoke_next w cl;
          true
@@ -751,7 +665,7 @@ let step w decision =
       let cl = w.clients.(c) in
       if cl.crashed then invalid_arg "Mp_runtime.step: client already crashed";
       cl.crashed <- true;
-      cl.waiting <- None;
+      Engine.crash cl.fb;
       cl.queue <- [];
       clear_timers w (Rt.owned w.timers ~owner:c);
       Trace.add w.tr (Crash_client { time = w.now; client = c });

@@ -10,8 +10,9 @@
     runs are deterministic and adversarial schedules are expressible.
 
     The register protocols of [Sb_registers] run {e unchanged} on this
-    runtime: it installs its own handler for the {!Sb_sim.Runtime.Trigger}
-    and {!Sb_sim.Runtime.Await} effects.
+    runtime: it is a transport of {!Sb_sim.Engine}, the one interpreter
+    of the {!Sb_sim.Runtime.Trigger} and {!Sb_sim.Runtime.Await}
+    effects.
 
     Storage accounting here includes {e channel} contents — request
     payloads and the object-state snapshots carried by responses — which

@@ -1,5 +1,5 @@
-open Effect.Deep
 module R = Sb_sim.Runtime
+module Engine = Sb_sim.Engine
 module Trace = Sb_sim.Trace
 module D = Sb_sim.Rmwdesc
 module Mailbox = Client_core.Mailbox
@@ -55,9 +55,7 @@ type server_health = {
   sh_fail_streak : int;
 }
 
-(* Raised into an abandoned fiber at its await point so its cleanup
-   runs; the engine catches it at the discontinue site. *)
-exception Op_abandoned
+exception Op_abandoned = Engine.Abandoned
 
 type report = {
   trace : Trace.t;
@@ -93,30 +91,15 @@ type report = {
 (* Engine state                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type fiber_outcome = Done of bytes option | Blocked
-
-type parked = {
-  w_tickets : int list;
-  w_quorum : int;
-  w_k : ((int * R.resp) list, fiber_outcome) continuation;
-}
-
 type client = {
-  cid : int;
-  mutable queue : Trace.op_kind list;
-  mutable key_queue : string list;
-      (* parallel to [queue] when non-empty: the key each queued
-         operation addresses (keyed closed-loop workloads); empty for
-         plain workloads, which stay on the "" register *)
-  mutable waiting : parked option;
-  mutable current_op : R.op option;
-  mutable current_key : string;
+  fb : Engine.fiber;
+  mutable queue : (string * Trace.op_kind) list;
+  mutable key : string;
       (* the register the in-flight operation addresses; "" is the
          pre-sharding single register, and the only key v1/v2 peers can
          be spoken to about *)
   mutable op_start : float;
   mutable ready_at : float;  (* closed-loop pacing: next invocation time *)
-  c_prng : Sb_util.Prng.t;
 }
 
 type conn = {
@@ -137,7 +120,15 @@ type connstate = Up of conn | Down of { mutable retry_at : float }
 
 type engine = {
   cfg : config;
-  algorithm : R.algorithm;
+  core : engine Engine.t;  (* runs the client fibers *)
+  session : int;
+      (* high bits of every wire client id, drawn once per engine: the
+         daemon's at-most-once table is keyed by (key, client, ticket)
+         and every engine numbers its slots from 0 and its tickets from
+         1, so without the tag a later engine's write could be answered
+         from an earlier engine's entry and never applied.  Constant
+         across reconnects, so retransmissions still dedup.  Trace
+         client ids, [ctx.self] and descriptions keep the plain slot. *)
   clients : client array;
   conns : connstate array;
   responses : Mailbox.t;
@@ -147,9 +138,7 @@ type engine = {
          armed before a downgrade still reaches the v1 server *)
   rt_cfg : Rt.config;
   mutable next_ticket : int;
-  mutable next_op : int;
   mutable lstep : int;  (* logical trace clock: bumps per event *)
-  tr : Trace.t;
   start : float;
   mutable desc_log : D.t list;  (* reversed *)
   mutable latencies : float list;  (* reversed *)
@@ -157,8 +146,6 @@ type engine = {
   mutable next_sample_at : float;
   last_stats : Wire.stats option array;
   incarnation_seen : int option array;
-  mutable ops_invoked : int;
-  mutable ops_completed : int;
   mutable retransmissions : int;
   mutable reconnects : int;
   connects : int array;
@@ -401,148 +388,83 @@ let fire_flushes eng =
 let timer_live eng ticket (t : (int * Wire.msg) Rt.timer) =
   (not (Mailbox.has eng.responses ticket))
   && Rt.within_budget eng.rt_cfg t
-  && eng.clients.(t.Rt.owner).current_op <> None
+  && Option.is_some eng.clients.(t.Rt.owner).fb.current
 
-let handle_fiber eng (cl : client) (op : R.op) (body : unit -> bytes option) :
-    fiber_outcome =
-  match_with body ()
-    {
-      retc = (fun r -> Done r);
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | R.Trigger (obj, payload, _rmw, nature, desc) ->
-            Some
-              (fun (k : (b, fiber_outcome) continuation) ->
-                if obj < 0 || obj >= eng.cfg.n then
-                  invalid_arg "Sdk: no such server";
-                let d =
-                  match desc with
-                  | Some d -> d
-                  | None ->
-                    invalid_arg
-                      "Sdk: protocol triggered an RMW without a serializable \
-                       description"
-                in
-                let ticket = eng.next_ticket in
-                eng.next_ticket <- ticket + 1;
-                if not eng.open_loop then eng.desc_log <- d :: eng.desc_log;
-                let rq =
-                  {
-                    Wire.rq_key = cl.current_key;
-                    rq_client = cl.cid;
-                    rq_ticket = ticket;
-                    rq_op = op.R.id;
-                    rq_nature = nature;
-                    rq_payload = payload;
-                    rq_desc = d;
-                  }
-                in
-                if not eng.open_loop then
-                  Trace.add eng.tr
-                    (Rmw_trigger
-                       {
-                         time = tick eng;
-                         ticket;
-                         op = op.R.id;
-                         client = cl.cid;
-                         obj;
-                         payload_bits =
-                           Sb_storage.Accounting.bits_of_blocks payload;
-                       });
-                enqueue_req eng obj rq;
-                Rt.arm eng.timers ~ticket ~owner:cl.cid
-                  ~deadline:(now_ms_int eng + eng.cfg.rto_ms)
-                  (obj, Wire.Request rq);
-                continue k ticket)
-          | R.Await (tickets, quorum) ->
-            Some
-              (fun (k : (b, fiber_outcome) continuation) ->
-                if Mailbox.satisfied eng.responses ~tickets ~quorum then begin
-                  let rs = Mailbox.responses_for eng.responses ~tickets in
-                  Rt.cancel_list eng.timers tickets;
-                  continue k rs
-                end
-                else begin
-                  cl.waiting <-
-                    Some { w_tickets = tickets; w_quorum = quorum; w_k = k };
-                  Blocked
-                end)
-          | _ -> None);
-    }
-
-let finish_op eng cl (op : R.op) result =
-  cl.current_op <- None;
-  eng.ops_completed <- eng.ops_completed + 1;
-  eng.latencies <- (now_ms eng -. cl.op_start) :: eng.latencies;
-  if not eng.open_loop then
-    Trace.add eng.tr
-      (Return { time = tick eng; op = op.R.id; client = cl.cid; result })
+(* Sockets as a transport of the client engine: a trigger encodes its
+   description into a request, batched per connection when batching is
+   armed, and arms a retransmission timer; an await reads the
+   mailbox. *)
+let transport =
+  {
+    Engine.send =
+      (fun eng fb op obj payload _rmw nature desc ->
+        let d =
+          match desc with
+          | Some d -> d
+          | None ->
+            invalid_arg
+              "Sdk: protocol triggered an RMW without a serializable \
+               description"
+        in
+        let ticket = eng.next_ticket in
+        eng.next_ticket <- ticket + 1;
+        if not eng.open_loop then eng.desc_log <- d :: eng.desc_log;
+        let rq =
+          {
+            Wire.rq_key = eng.clients.(fb.Engine.cid).key;
+            rq_client = eng.session lor fb.cid;
+            rq_ticket = ticket;
+            rq_op = op.R.id;
+            rq_nature = nature;
+            rq_payload = payload;
+            rq_desc = d;
+          }
+        in
+        enqueue_req eng obj rq;
+        Rt.arm eng.timers ~ticket ~owner:fb.cid
+          ~deadline:(now_ms_int eng + eng.cfg.rto_ms)
+          (obj, Wire.Request rq);
+        ticket);
+    ready =
+      (fun eng tickets quorum -> Mailbox.satisfied eng.responses ~tickets ~quorum);
+    collect =
+      (fun eng _ tickets ->
+        let rs = Mailbox.responses_for eng.responses ~tickets in
+        Rt.cancel_list eng.timers tickets;
+        rs);
+    started = (fun _ _ -> ());
+    retired = (fun _ _ _ -> ());
+    clock = tick;
+    traced = true;
+  }
 
 (* [at] is the operation's start for latency purposes: invocation time
    in the closed loop, the Poisson {e intended} time in the open loop —
    the open-loop latency includes any backlog queueing delay, which is
    what makes it coordinated-omission-safe. *)
-let rec start_op eng cl kind ~at =
-  let op = { R.id = eng.next_op; client = cl.cid; kind; rounds = 0 } in
-  eng.next_op <- eng.next_op + 1;
-  cl.current_op <- Some op;
+let rec start_op eng cl (key, kind) ~at =
+  cl.key <- key;
   cl.op_start <- at;
-  eng.ops_invoked <- eng.ops_invoked + 1;
-  if not eng.open_loop then
-    Trace.add eng.tr
-      (Invoke { time = tick eng; op = op.R.id; client = cl.cid; kind });
-  let ctx = { R.self = cl.cid; op; n_objects = eng.cfg.n; prng = cl.c_prng } in
-  let body () =
-    match kind with
-    | Trace.Write v ->
-      eng.algorithm.R.write ctx v;
-      None
-    | Trace.Read -> eng.algorithm.R.read ctx
-  in
-  (match handle_fiber eng cl op body with
-   | Done result ->
-     finish_op eng cl op result;
-     after_op eng cl
-   | Blocked -> ())
+  if Engine.start eng.core eng cl.fb kind then finish_op eng cl
+
+and finish_op eng cl =
+  eng.latencies <- (now_ms eng -. cl.op_start) :: eng.latencies;
+  after_op eng cl
 
 and invoke_next eng cl =
   match cl.queue with
   | [] -> ()
-  | kind :: rest ->
+  | op :: rest ->
     cl.queue <- rest;
-    (match cl.key_queue with
-     | k :: krest ->
-       cl.current_key <- k;
-       cl.key_queue <- krest
-     | [] -> ());
-    start_op eng cl kind ~at:(now_ms eng)
+    start_op eng cl op ~at:(now_ms eng)
 
 (* Closed loop: the next operation follows the completed one, either
    immediately or after the configured think time.  Open loop: the slot
    returns to the pool; the arrival process owns invocation. *)
 and after_op eng cl =
-  if eng.open_loop then eng.free_slots <- cl.cid :: eng.free_slots
+  if eng.open_loop then eng.free_slots <- cl.fb.cid :: eng.free_slots
   else if eng.cfg.think_ms = 0 then invoke_next eng cl
   else cl.ready_at <- now_ms eng +. float_of_int eng.cfg.think_ms
-
-let resume eng cl =
-  match cl.waiting with
-  | None -> ()
-  | Some { w_tickets; w_quorum; w_k } ->
-    if Mailbox.satisfied eng.responses ~tickets:w_tickets ~quorum:w_quorum
-    then begin
-      cl.waiting <- None;
-      let rs = Mailbox.responses_for eng.responses ~tickets:w_tickets in
-      Rt.cancel_list eng.timers w_tickets;
-      match continue w_k rs with
-      | Done result ->
-        let op = match cl.current_op with Some op -> op | None -> assert false in
-        finish_op eng cl op result;
-        after_op eng cl
-      | Blocked -> ()
-    end
 
 let resume_runnable eng =
   (* A single response can unblock several logical clients, and a
@@ -552,12 +474,12 @@ let resume_runnable eng =
     progressed := false;
     Array.iter
       (fun cl ->
-        match cl.waiting with
-        | Some { w_tickets; w_quorum; _ }
-          when Mailbox.satisfied eng.responses ~tickets:w_tickets
-                 ~quorum:w_quorum ->
+        match cl.fb.Engine.waiting with
+        | Some p
+          when Mailbox.satisfied eng.responses ~tickets:p.tickets
+                 ~quorum:p.quorum ->
           progressed := true;
-          resume eng cl
+          if Engine.resume eng.core eng cl.fb then finish_op eng cl
         | _ -> ())
       eng.clients
   done
@@ -671,44 +593,32 @@ let write_conn eng s c =
 
 let all_done eng =
   Array.for_all
-    (fun cl -> cl.queue = [] && cl.current_op = None)
+    (fun cl -> cl.queue = [] && Option.is_none cl.fb.current)
     eng.clients
 
 (* ------------------------------------------------------------------ *)
-(* Typed failure paths: never hang, never leak a parked fiber           *)
+(* Typed failure paths: never hang, never leak a suspended fiber        *)
 (* ------------------------------------------------------------------ *)
 
-(* Unwind an abandoned fiber by resuming its continuation with
-   [Op_abandoned]; any timers its unwinding leaves behind are swept. *)
-let abandon_fiber eng cl =
-  match cl.waiting with
-  | None -> ()
-  | Some { w_tickets; w_k; _ } ->
-    cl.waiting <- None;
-    Rt.cancel_list eng.timers w_tickets;
-    (match discontinue w_k Op_abandoned with
-     | Done _ | Blocked -> ()
-     | exception Op_abandoned -> ()
-     | exception _ -> ());
-    cl.waiting <- None;
-    Rt.cancel_list eng.timers (Rt.owned eng.timers ~owner:cl.cid)
-
-let record_failure eng cl reason =
-  match cl.current_op with
+(* Abandon the slot's operation — the engine unwinds its fiber with
+   [Op_abandoned] — sweep every timer the slot still owns, and record
+   the typed failure. *)
+let fail_op eng cl reason =
+  match Engine.abandon cl.fb with
   | None -> ()
   | Some op ->
+    Rt.cancel_list eng.timers (Rt.owned eng.timers ~owner:cl.fb.cid);
     eng.op_failures <-
       {
         fl_op = op.R.id;
-        fl_client = cl.cid;
+        fl_client = cl.fb.cid;
         fl_kind = op.R.kind;
         fl_at_ms = now_ms eng;
         fl_reason = reason;
       }
-      :: eng.op_failures;
-    cl.current_op <- None
+      :: eng.op_failures
 
-(* With a bounded retransmission budget, a parked operation whose
+(* With a bounded retransmission budget, a waiting operation whose
    remaining reachable responses cannot meet its quorum is failed with
    a typed [Attempts_exhausted] instead of hanging forever.  A ticket
    still counts as reachable while its final attempt's RTO window is
@@ -718,9 +628,9 @@ let sweep_exhausted eng =
     let now = now_ms_int eng in
     Array.iter
       (fun cl ->
-        match cl.waiting with
+        match cl.fb.Engine.waiting with
         | None -> ()
-        | Some { w_tickets; w_quorum; _ } ->
+        | Some { tickets = w_tickets; quorum = w_quorum; _ } ->
           let reachable =
             List.fold_left
               (fun acc tk ->
@@ -742,21 +652,14 @@ let sweep_exhausted eng =
                   | None -> acc)
                 0 w_tickets
             in
-            abandon_fiber eng cl;
-            record_failure eng cl (Attempts_exhausted attempts);
+            fail_op eng cl (Attempts_exhausted attempts);
             after_op eng cl
           end)
       eng.clients
   end
 
 let fail_in_flight eng reason =
-  Array.iter
-    (fun cl ->
-      if cl.current_op <> None then begin
-        abandon_fiber eng cl;
-        record_failure eng cl reason
-      end)
-    eng.clients
+  Array.iter (fun cl -> fail_op eng cl reason) eng.clients
 
 let fire_retransmits eng =
   List.iter
@@ -820,6 +723,11 @@ let select_round eng timeout =
       | _ -> ())
     eng.conns
 
+(* A session tag with at least one bit set, fresh per engine and per
+   process, shifted clear of every slot number. *)
+let session_tag () =
+  (Random.State.bits (Random.State.make_self_init ()) lor 1) lsl 32
+
 let create ?(hooks = Netfault.none) ?(open_loop = false) ~algorithm ~seed
     ~workload cfg =
   let root = Sb_util.Prng.create seed in
@@ -830,31 +738,28 @@ let create ?(hooks = Netfault.none) ?(open_loop = false) ~algorithm ~seed
     Array.mapi
       (fun i ops ->
         {
-          cid = i;
+          fb = Engine.fiber ~cid:i ~prng:(Sb_util.Prng.split root);
           queue = ops;
-          key_queue = [];
-          waiting = None;
-          current_op = None;
-          current_key = "";
+          key = "";
           op_start = 0.0;
           ready_at = 0.0;
-          c_prng = Sb_util.Prng.split root;
         })
       workload
   in
   let j_prng = Sb_util.Prng.split root in
   {
     cfg;
-    algorithm;
+    core =
+      Engine.create ~n:cfg.n ~algorithm ~base_model:Sb_baseobj.Model.Rmw
+        { transport with traced = not open_loop };
+    session = session_tag ();
     clients;
     conns = Array.init cfg.n (fun _ -> Down { retry_at = 0.0 });
     responses = Mailbox.create ();
     timers = Rt.create ();
     rt_cfg = { Rt.rto = cfg.rto_ms; max_attempts = cfg.max_attempts };
     next_ticket = 1;
-    next_op = 1;
     lstep = 0;
-    tr = Trace.create ();
     start = Unix.gettimeofday ();
     desc_log = [];
     latencies = [];
@@ -862,8 +767,6 @@ let create ?(hooks = Netfault.none) ?(open_loop = false) ~algorithm ~seed
     next_sample_at = 0.0;
     last_stats = Array.make cfg.n None;
     incarnation_seen = Array.make cfg.n None;
-    ops_invoked = 0;
-    ops_completed = 0;
     retransmissions = 0;
     reconnects = 0;
     connects = Array.make cfg.n 0;
@@ -984,9 +887,9 @@ let report_of eng ~wall_ms ~final_stats ~timed_out =
     List.fold_left (fun acc s -> max acc s.total_bits) 0 eng.samples
   in
   {
-    trace = eng.tr;
-    ops_invoked = eng.ops_invoked;
-    ops_completed = eng.ops_completed;
+    trace = Engine.trace eng.core;
+    ops_invoked = Engine.invoked eng.core;
+    ops_completed = Engine.completed eng.core;
     wall_ms;
     latencies_ms = List.rev eng.latencies;
     samples = List.rev eng.samples;
@@ -1016,7 +919,8 @@ let invoke_due eng =
   if eng.cfg.think_ms > 0 then
     Array.iter
       (fun cl ->
-        if cl.current_op = None && cl.queue <> [] && now_ms eng >= cl.ready_at
+        if Option.is_none cl.fb.current && cl.queue <> []
+           && now_ms eng >= cl.ready_at
         then invoke_next eng cl)
       eng.clients
 
@@ -1026,14 +930,22 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ -> ()
 
-let drive eng =
-  ignore_sigpipe ();
-  ensure_conns eng;
-  (* Invoke every client's first operation, in cid order — the same
-     deterministic start the simulated transports use. *)
-  Array.iter (fun cl -> invoke_next eng cl) eng.clients;
+(* One round of timers, batching and socket I/O, then every fiber the
+   round's responses unblock. *)
+let serve_round eng timeout =
+  fire_retransmits eng;
+  fire_sampling eng;
+  sweep_exhausted eng;
+  fire_flushes eng;
+  select_round eng timeout;
+  resume_runnable eng
+
+(* The loop both drivers share: re-dial, then [step], until [finished]
+   or the run deadline; then close the connections and report after a
+   quiescent stats round. *)
+let run_loop eng ~finished step =
   let timed_out = ref false in
-  while (not (all_done eng)) && not !timed_out do
+  while (not (finished ())) && not !timed_out do
     if now_ms eng > float_of_int eng.cfg.deadline_ms then begin
       timed_out := true;
       (* The deadline is a typed failure, not a silent hang: every
@@ -1042,13 +954,7 @@ let drive eng =
     end
     else begin
       ensure_conns eng;
-      invoke_due eng;
-      fire_retransmits eng;
-      fire_sampling eng;
-      sweep_exhausted eng;
-      fire_flushes eng;
-      select_round eng 0.02;
-      resume_runnable eng
+      step ()
     end
   done;
   let wall_ms = now_ms eng in
@@ -1064,19 +970,20 @@ let drive eng =
   in
   report_of eng ~wall_ms ~final_stats ~timed_out:!timed_out
 
-let run_workload ?hooks ~algorithm ~seed ~workload cfg =
-  drive (create ?hooks ~algorithm ~seed ~workload cfg)
+let drive eng =
+  ignore_sigpipe ();
+  ensure_conns eng;
+  (* Invoke every client's first operation, in cid order — the same
+     deterministic start the simulated transports use. *)
+  Array.iter (fun cl -> invoke_next eng cl) eng.clients;
+  run_loop eng
+    ~finished:(fun () -> all_done eng)
+    (fun () ->
+      invoke_due eng;
+      serve_round eng 0.02)
 
 let run_keyed ?hooks ~algorithm ~seed ~workload cfg =
-  let eng =
-    create ?hooks ~algorithm ~seed
-      ~workload:(Array.map (List.map snd) workload)
-      cfg
-  in
-  Array.iteri
-    (fun i ops -> eng.clients.(i).key_queue <- List.map fst ops)
-    workload;
-  drive eng
+  drive (create ?hooks ~algorithm ~seed ~workload cfg)
 
 (* ------------------------------------------------------------------ *)
 (* The open loop                                                        *)
@@ -1180,49 +1087,20 @@ let run_open ?hooks ~algorithm ~seed ocfg cfg =
     | cid :: rest, Some (intended, key, kind) ->
       ignore (Queue.pop backlog);
       eng.free_slots <- rest;
-      let cl = eng.clients.(cid) in
-      cl.current_key <- key;
-      start_op eng cl kind ~at:intended;
+      start_op eng eng.clients.(cid) (key, kind) ~at:intended;
       assign ()
     | _ -> ()
   in
   ignore_sigpipe ();
   ensure_conns eng;
-  let timed_out = ref false in
-  let finished () =
-    !next_arrival > duration && Queue.is_empty backlog && all_done eng
-  in
-  while (not (finished ())) && not !timed_out do
-    if now_ms eng > float_of_int eng.cfg.deadline_ms then begin
-      timed_out := true;
-      fail_in_flight eng Deadline_expired
-    end
-    else begin
-      ensure_conns eng;
+  run_loop eng
+    ~finished:(fun () ->
+      !next_arrival > duration && Queue.is_empty backlog && all_done eng)
+    (fun () ->
       gen_due ();
       assign ();
-      fire_retransmits eng;
-      fire_sampling eng;
-      sweep_exhausted eng;
-      fire_flushes eng;
       (* Fine-grained while arrivals are still being injected (their
          timing is the experiment); relaxed once only the drain and
          its responses remain. *)
-      let timeout = if now_ms eng <= duration then 0.002 else 0.02 in
-      select_round eng timeout;
-      resume_runnable eng;
-      assign ()
-    end
-  done;
-  let wall_ms = now_ms eng in
-  Array.iter
-    (fun st ->
-      match st with
-      | Up c -> ( try Unix.close c.fd with Unix.Unix_error _ -> ())
-      | Down _ -> ())
-    eng.conns;
-  let final_stats =
-    fetch_stats ~timeout_ms:5000 ~sockdir:eng.cfg.sockdir
-      ~servers:(List.init eng.cfg.n Fun.id) ()
-  in
-  report_of eng ~wall_ms ~final_stats ~timed_out:!timed_out
+      serve_round eng (if now_ms eng <= duration then 0.002 else 0.02);
+      assign ())

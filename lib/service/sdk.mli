@@ -2,20 +2,23 @@
     [Sb_registers] against a live {!Daemon} cluster.
 
     Protocol code performs the same [Trigger]/[Await] effects it
-    performs under the simulators; this engine interprets them over
-    Unix-domain sockets — [Trigger] encodes the RMW's
-    {!Sb_sim.Rmwdesc.t} into a {!Wire} request and arms a
-    retransmission timer ({!Client_core.Retransmit}, shared with the
-    simulated transport), [Await] parks the client fiber until a quorum
-    of responses is in its {!Client_core.Mailbox}.  Dead servers are
-    ridden out by retransmission and reconnection; recoveries are
-    observed through incarnation bumps in responses.
+    performs under the simulators, and the same interpreter runs it:
+    {!Sb_sim.Engine}, with this module as its socket transport —
+    [Trigger] encodes the RMW's {!Sb_sim.Rmwdesc.t} into a {!Wire}
+    request and arms a retransmission timer ({!Client_core.Retransmit},
+    shared with the simulated transport), [Await] parks the client
+    fiber until a quorum of responses is in its {!Client_core.Mailbox}.
+    Dead servers are ridden out by retransmission and reconnection;
+    recoveries are observed through incarnation bumps in responses.
 
-    Determinism mirrors [Sb_msgnet.Mp_runtime]: one root PRNG split per
-    client in cid order, operation ids from 1 at invocation, tickets
-    from 1 at trigger — so a single-client seeded run triggers the
-    identical description sequence on both transports (checked by the
-    parity test in [test_service.ml]). *)
+    [Sb_msgnet.Mp_runtime] runs on the same engine, with the same
+    determinism: one root PRNG split per client in cid order, operation
+    ids from 1 at invocation, tickets from 1 at trigger — so a
+    single-client seeded run triggers the identical description
+    sequence on both transports (checked by the parity test in
+    [test_service.ml]).  Only the wire client id differs: it carries a
+    per-engine session tag above the slot number, so two engines never
+    share the daemon's at-most-once entries. *)
 
 type config = {
   n : int;
@@ -75,8 +78,9 @@ type server_health = {
 }
 
 exception Op_abandoned
-(** Raised into an abandoned operation's fiber at its await point so
-    protocol-level cleanup can run; the engine absorbs it. *)
+(** {!Sb_sim.Engine.Abandoned}: raised into an abandoned operation's
+    fiber at its await point so protocol-level cleanup can run; the
+    engine absorbs it. *)
 
 type report = {
   trace : Sb_sim.Trace.t;
@@ -118,21 +122,6 @@ type report = {
   health : server_health list;  (** Per server, at end of run. *)
 }
 
-val run_workload :
-  ?hooks:Netfault.t ->
-  algorithm:Sb_sim.Runtime.algorithm ->
-  seed:int ->
-  workload:Sb_sim.Trace.op_kind list array ->
-  config ->
-  report
-(** Drive the closed-loop workload (one fiber per array slot, next
-    operation invoked as soon as the previous returns) to completion
-    against the cluster reachable under [config.sockdir].  Operations
-    address the [""] register — the pre-sharding single object.
-    [hooks] (default {!Netfault.none}) inject socket-layer faults into
-    the client's dials and outbound frames — the client-side half of a
-    {!Sb_faults.Live} fault plane. *)
-
 val run_keyed :
   ?hooks:Netfault.t ->
   algorithm:Sb_sim.Runtime.algorithm ->
@@ -140,12 +129,17 @@ val run_keyed :
   workload:(string * Sb_sim.Trace.op_kind) list array ->
   config ->
   report
-(** {!run_workload} with a key per operation: each slot's operations
-    run in order, each addressing the named register of the sharded
-    daemon.  Non-[""] keys need a v3+ fleet — towards an older peer
-    keyed frames are unencodable and are dropped (the operation fails
-    by its retransmission/deadline budget rather than crashing the
-    client). *)
+(** Drive the closed-loop workload (one fiber per array slot, next
+    operation invoked as soon as the previous returns) to completion
+    against the cluster reachable under [config.sockdir].  Each
+    operation addresses the named register of the sharded daemon; [""]
+    is the pre-sharding single object.  Non-[""] keys need a v3+ fleet
+    — towards an older peer keyed frames are unencodable and are
+    dropped (the operation fails by its retransmission/deadline budget
+    rather than crashing the client).  [hooks] (default
+    {!Netfault.none}) inject socket-layer faults into the client's
+    dials and outbound frames — the client-side half of a
+    {!Sb_faults.Live} fault plane. *)
 
 (** {2 The open loop}
 

@@ -1,49 +1,5 @@
 open Effect
-open Effect.Deep
-
-type resp = Rmwdesc.resp = Ack | Snap of Sb_storage.Objstate.t
-type rmw = Sb_storage.Objstate.t -> Sb_storage.Objstate.t * resp
-
-type op = {
-  id : int;
-  client : int;
-  kind : Trace.op_kind;
-  mutable rounds : int;
-}
-
-type ctx = {
-  self : int;
-  op : op;
-  n_objects : int;
-  prng : Sb_util.Prng.t;
-}
-
-type algorithm = {
-  name : string;
-  init_obj : int -> Sb_storage.Objstate.t;
-  write : ctx -> bytes -> unit;
-  read : ctx -> bytes option;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Effects performed by protocol code                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* How an RMW interacts with concurrent deliveries on the same object:
-   [`Mutating] promises nothing; [`Readonly] never changes the object
-   state (so it commutes with other read-onlys and becomes a droppable
-   no-op once its response is unobservable); [`Merge] declares a
-   commutative update — applying it and any other [`Merge] RMW on the
-   same object in either order yields the same state and the same two
-   responses (e.g. a join-semilattice "keep the higher timestamp"
-   overwrite). *)
-type rmw_nature = [ `Mutating | `Readonly | `Merge ]
-
-type _ Effect.t +=
-  | Trigger :
-      int * Sb_storage.Block.t list * rmw * rmw_nature * Rmwdesc.t option
-      -> int Effect.t
-  | Await : int list * int -> (int * resp) list Effect.t
+include Engine.Proto
 
 let trigger ?(nature = `Mutating) ?desc ~obj ~payload rmw =
   perform (Trigger (obj, payload, rmw, nature, desc))
@@ -72,9 +28,6 @@ let broadcast_desc ?nature ~n ~payload d =
 (* World state                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Result of running a client fiber until it blocks or finishes. *)
-type fiber_outcome = Done of bytes option | Blocked
-
 type client_status = Idle | Parked | Runnable | Crashed
 
 type pending = {
@@ -100,23 +53,14 @@ type pending_info = {
   triggered_at : int;
 }
 
-type parked = {
-  w_tickets : int list;
-  w_quorum : int;
-  w_k : ((int * resp) list, fiber_outcome) continuation;
-}
-
 (* A delivered-but-not-yet-consumed response, tagged with the origin of
    its ticket so exploration can name it canonically. *)
 type delivered = { d_obj : int; d_client : int; d_op : int; d_resp : resp }
 
 type client = {
-  cid : int;
+  fb : Engine.fiber;
   mutable queue : Trace.op_kind list;
-  mutable status : client_status;
-  mutable waiting : parked option;
-  mutable current_op : op option;
-  c_prng : Sb_util.Prng.t;
+  mutable crashed : bool;
   mutable consumed_log : (int * resp) list list;
   (* Response lists returned by this client's awaits, newest first.  A
      fiber is deterministic in (algorithm, op kinds, prng, this log), so
@@ -128,48 +72,9 @@ type client = {
      instead of rehashing it per key. *)
 }
 
-(* Fine-grained execution events, emitted to registered observers (the
-   sanitizer monitors in [Sb_sanitize]).  Deliberately richer than
-   [Trace.event]: a delivery exposes the RMW closure and the object
-   states around it, an await its responder set — everything an online
-   invariant monitor needs and a post-hoc trace cannot reconstruct. *)
-type event =
-  | E_invoke of { op : op }
-  | E_return of { op : op; result : bytes option }
-  | E_trigger of {
-      ticket : int;
-      obj : int;
-      op : op;
-      nature : rmw_nature;
-      payload : Sb_storage.Block.t list;
-      desc : Rmwdesc.t option;
-    }
-  | E_deliver of {
-      ticket : int;
-      obj : int;
-      client : int;
-      op : int;
-      nature : rmw_nature;
-      rmw : rmw;
-      before : Sb_storage.Objstate.t;
-      after : Sb_storage.Objstate.t;
-      resp : resp;
-      observable : bool;
-    }
-  | E_await of {
-      op : op;
-      tickets : int list;
-      quorum : int;
-      responders : (int * resp) list;
-    }
-  | E_crash_obj of int
-  | E_recover_obj of int * int
-  | E_crash_client of int
-
 type world = {
   n : int;
   f : int;
-  algorithm : algorithm;
   base_model : Sb_baseobj.Model.t;
   byz : Sb_baseobj.Model.byz_policy option;
   init_objects : Sb_storage.Objstate.t array;
@@ -187,11 +92,13 @@ type world = {
      delivery of a consumed ticket still applies its RMW to the object
      but its response is discarded: no await may observe it again. *)
   mutable next_ticket : int;
-  mutable next_op : int;
   mutable now : int;
-  tr : Trace.t;
-  mutable inv_events : int; (* Invoke events emitted so far *)
-  mutable ret_events : int; (* Return events emitted so far *)
+  eng : world Engine.t;
+  (* Runs the client fibers and keeps the trace and the observers.
+     Observers must not mutate the world; the list is empty in
+     unsanitized runs, and every emission site is guarded so that
+     dormant observers cost one list check and no allocation. *)
+  tr : Trace.t; (* [Engine.trace eng] *)
   mutable step_awaits : int list;
   (* Tickets whose responses the most recent [Step] read or awaited *)
   mutable all_ops : op list;
@@ -208,70 +115,7 @@ type world = {
      (full object-state snapshots) is the dominant always-on cost, so
      runs that never call [state_hash] — uncached exploration, plain
      simulation — opt out at creation, like [metrics]. *)
-  mutable observers : (event -> unit) list;
-  (* Event sinks, called in registration order.  Observers must not
-     mutate the world; the list is empty in unsanitized runs, and every
-     emission site is guarded so that dormant observers cost one list
-     check and no allocation. *)
 }
-
-let create ?(seed = 1) ?(metrics = true) ?(fingerprints = true)
-    ?(base_model = Sb_baseobj.Model.Rmw) ?byz ~algorithm ~n ~f ~workload () =
-  if f < 0 || 2 * f >= n then
-    invalid_arg "Runtime.create: need 0 <= f < n/2";
-  (* The policy must fit the model: lying requires a Byzantine model and
-     at most the model's budget of compromised objects.  The budget
-     itself is NOT checked against [f] here — negative controls run
-     over-budget adversaries mechanically; [Model.validate] is the
-     policy-level gate (CLI, fault plans). *)
-  (match byz with
-  | Some policy -> Sb_baseobj.Model.check_policy base_model ~n policy
-  | None -> ());
-  let root_prng = Sb_util.Prng.create seed in
-  let clients =
-    Array.mapi
-      (fun i ops ->
-        {
-          cid = i;
-          queue = ops;
-          status = Idle;
-          waiting = None;
-          current_op = None;
-          c_prng = Sb_util.Prng.split root_prng;
-          consumed_log = [];
-          log_h = Sb_util.Hash128.create ();
-        })
-      workload
-  in
-  {
-    n;
-    f;
-    algorithm;
-    base_model;
-    byz;
-    init_objects = Array.init n algorithm.init_obj;
-    objects = Array.init n algorithm.init_obj;
-    alive = Array.make n true;
-    clients;
-    pendings = Hashtbl.create 64;
-    pending_order = [];
-    responses = Hashtbl.create 64;
-    consumed = Hashtbl.create 64;
-    next_ticket = 1;
-    next_op = 1;
-    now = 0;
-    tr = Trace.create ();
-    inv_events = 0;
-    ret_events = 0;
-    step_awaits = [];
-    all_ops = [];
-    metrics;
-    max_obj_bits = 0;
-    max_total_bits = 0;
-    hist_h = Sb_util.Hash128.create ();
-    fingerprints;
-    observers = [];
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental hashing of world components                             *)
@@ -362,15 +206,15 @@ let chain_consume w (cl : client) (rs : (int * resp) list) =
     rs
   end
 
-let add_observer w f = w.observers <- w.observers @ [ f ]
-let observed w = w.observers <> []
-let emit w ev = List.iter (fun f -> f ev) w.observers
+let add_observer w f = Engine.add_observer w.eng f
+let observed w = Engine.observed w.eng
+let emit w ev = Engine.emit w.eng ev
 
 let enqueue_op w ~client kind =
   if client < 0 || client >= Array.length w.clients then
     invalid_arg "Runtime.enqueue_op: no such client";
   let cl = w.clients.(client) in
-  if cl.status = Crashed then invalid_arg "Runtime.enqueue_op: client has crashed";
+  if cl.crashed then invalid_arg "Runtime.enqueue_op: client has crashed";
   cl.queue <- cl.queue @ [ kind ]
 
 (* ------------------------------------------------------------------ *)
@@ -391,11 +235,10 @@ let obj_state w i = w.objects.(i)
 let obj_alive w i = w.alive.(i)
 let obj_bits w i = if w.alive.(i) then Sb_storage.Objstate.bits w.objects.(i) else 0
 let client_count w = Array.length w.clients
-let client_status w c = w.clients.(c).status
 
 let client_has_work w c =
   let cl = w.clients.(c) in
-  cl.status = Idle && cl.queue <> []
+  (not cl.crashed) && Option.is_none cl.fb.waiting && cl.queue <> []
 
 let info_of_pending (p : pending) =
   {
@@ -415,7 +258,7 @@ let pending_rmws w =
 let outstanding_ops w =
   Array.to_list w.clients
   |> List.filter_map (fun cl ->
-         if cl.status = Crashed then None else cl.current_op)
+         if cl.crashed then None else cl.fb.current)
 
 let all_ops w = List.rev w.all_ops
 
@@ -436,7 +279,7 @@ let inflight_bits w =
   (* sb-lint: allow hashtbl-order — commutative sum of payload bits *)
   Hashtbl.fold
     (fun _ (p : pending) acc ->
-      if w.clients.(p.p_client).status = Crashed then acc
+      if w.clients.(p.p_client).crashed then acc
       else acc + Sb_storage.Accounting.bits_of_blocks p.payload)
     w.pendings 0
 
@@ -451,7 +294,7 @@ let visible_blocks_excluding w ~client =
   (* sb-lint: allow hashtbl-order — feeds Accounting.contribution, an order-insensitive index-set sum *)
   Hashtbl.fold
     (fun _ (p : pending) acc ->
-      if p.p_client = client || w.clients.(p.p_client).status = Crashed then acc
+      if p.p_client = client || w.clients.(p.p_client).crashed then acc
       else p.payload @ acc)
     w.pendings obj_blocks
 
@@ -462,8 +305,8 @@ let op_contribution w (op : op) =
 let max_bits_objects w = w.max_obj_bits
 let max_bits_total w = w.max_total_bits
 let trace w = w.tr
-let invoke_events w = w.inv_events
-let return_events w = w.ret_events
+let invoke_events w = Engine.invoked w.eng
+let return_events w = Engine.completed w.eng
 let last_step_awaits w = w.step_awaits
 
 let update_maxima w =
@@ -532,142 +375,137 @@ let consume w cl tickets =
   drop_readonly_orphans w tickets;
   rs
 
-(* The deep handler interpreting protocol effects against world [w] for
-   client [cl] running operation [op]. *)
-let handle_fiber w cl op (body : unit -> bytes option) : fiber_outcome =
-  match_with body ()
-      {
-        retc = (fun r -> Done r);
-        exnc = raise;
-        effc =
-          (fun (type b) (eff : b Effect.t) ->
-            match eff with
-            | Trigger (obj, payload, rmw, nature, desc) ->
-              Some
-                (fun (k : (b, fiber_outcome) continuation) ->
-                  if obj < 0 || obj >= w.n then
-                    invalid_arg "Runtime.trigger: no such object";
-                  (* Restricted base-object models gate on the operation
-                     class; [Rmw] and [Byzantine] accept everything. *)
-                  Sb_baseobj.Model.check_op w.base_model
-                    (Option.map Rmwdesc.op_class desc);
-                  let ticket = w.next_ticket in
-                  w.next_ticket <- ticket + 1;
-                  let p =
-                    {
-                      ticket;
-                      p_obj = obj;
-                      p_client = cl.cid;
-                      p_op = op;
-                      payload;
-                      p_rmw = rmw;
-                      p_desc = desc;
-                      p_nature = nature;
-                      triggered_at = w.now;
-                    }
-                  in
-                  Hashtbl.add w.pendings ticket p;
-                  w.pending_order <- ticket :: w.pending_order;
-                  Trace.add w.tr
-                    (Rmw_trigger
-                       {
-                         time = w.now;
-                         ticket;
-                         op = op.id;
-                         client = cl.cid;
-                         obj;
-                         payload_bits = Sb_storage.Accounting.bits_of_blocks payload;
-                       });
-                  if observed w then
-                    emit w (E_trigger { ticket; obj; op; nature; payload; desc });
-                  continue k ticket)
-            | Await (tickets, quorum) ->
-              Some
-                (fun (k : (b, fiber_outcome) continuation) ->
-                  List.iter
-                    (fun t ->
-                      if
-                        Hashtbl.mem w.consumed t
-                        || not
-                             (Hashtbl.mem w.pendings t
-                             || Hashtbl.mem w.responses t)
-                      then
-                        invalid_arg
-                          "Runtime.await: ticket was consumed by an earlier await")
-                    tickets;
-                  w.step_awaits <- tickets @ w.step_awaits;
-                  if await_satisfied w tickets quorum then begin
-                    let rs = consume w cl tickets in
-                    if observed w then
-                      emit w (E_await { op; tickets; quorum; responders = rs });
-                    continue k rs
-                  end
-                  else begin
-                    cl.waiting <- Some { w_tickets = tickets; w_quorum = quorum; w_k = k };
-                    cl.status <- Parked;
-                    Blocked
-                  end)
-            | _ -> None);
-      }
+(* Shared memory as a transport of the client engine: a trigger is a
+   pending RMW the policy delivers later, an await consumes delivered
+   responses. *)
+let transport =
+  {
+    Engine.send =
+      (fun w fb op obj payload rmw nature desc ->
+        let ticket = w.next_ticket in
+        w.next_ticket <- ticket + 1;
+        Hashtbl.add w.pendings ticket
+          {
+            ticket;
+            p_obj = obj;
+            p_client = fb.Engine.cid;
+            p_op = op;
+            payload;
+            p_rmw = rmw;
+            p_desc = desc;
+            p_nature = nature;
+            triggered_at = w.now;
+          };
+        w.pending_order <- ticket :: w.pending_order;
+        ticket);
+    ready =
+      (fun w tickets quorum ->
+        List.iter
+          (fun t ->
+            if
+              Hashtbl.mem w.consumed t
+              || not (Hashtbl.mem w.pendings t || Hashtbl.mem w.responses t)
+            then
+              invalid_arg "Runtime.await: ticket was consumed by an earlier await")
+          tickets;
+        w.step_awaits <- tickets @ w.step_awaits;
+        await_satisfied w tickets quorum);
+    collect = (fun w fb tickets -> consume w w.clients.(fb.Engine.cid) tickets);
+    started =
+      (fun w op ->
+        w.all_ops <- op :: w.all_ops;
+        chain_invoke w op op.kind);
+    retired =
+      (fun w op result ->
+        (* Read-only RMWs the op never awaited (or awaited without
+           consuming) are dead once it returns. *)
+        drop_readonly_orphans w
+          (List.filter
+             (fun t ->
+               match Hashtbl.find_opt w.pendings t with
+               | Some p -> p.p_op == op
+               | None -> false)
+             w.pending_order);
+        chain_return w op result);
+    clock = (fun w -> w.now);
+    traced = true;
+  }
 
-let finish_op w cl (op : op) result =
-  cl.current_op <- None;
-  cl.status <- Idle;
-  (* Read-only RMWs the op never awaited (or awaited without consuming)
-     are dead once it returns. *)
-  drop_readonly_orphans w
-    (List.filter
-       (fun t ->
-         match Hashtbl.find_opt w.pendings t with
-         | Some p -> p.p_op == op
-         | None -> false)
-       w.pending_order);
-  w.ret_events <- w.ret_events + 1;
-  Trace.add w.tr (Return { time = w.now; op = op.id; client = cl.cid; result });
-  chain_return w op result;
-  if observed w then emit w (E_return { op; result })
+let create ?(seed = 1) ?(metrics = true) ?(fingerprints = true)
+    ?(base_model = Sb_baseobj.Model.Rmw) ?byz ~algorithm ~n ~f ~workload () =
+  if f < 0 || 2 * f >= n then
+    invalid_arg "Runtime.create: need 0 <= f < n/2";
+  (* The policy must fit the model: lying requires a Byzantine model and
+     at most the model's budget of compromised objects.  The budget
+     itself is NOT checked against [f] here — negative controls run
+     over-budget adversaries mechanically; [Model.validate] is the
+     policy-level gate (CLI, fault plans). *)
+  (match byz with
+  | Some policy -> Sb_baseobj.Model.check_policy base_model ~n policy
+  | None -> ());
+  let root_prng = Sb_util.Prng.create seed in
+  let clients =
+    Array.mapi
+      (fun i ops ->
+        {
+          fb = Engine.fiber ~cid:i ~prng:(Sb_util.Prng.split root_prng);
+          queue = ops;
+          crashed = false;
+          consumed_log = [];
+          log_h = Sb_util.Hash128.create ();
+        })
+      workload
+  in
+  let eng = Engine.create ~n ~algorithm ~base_model transport in
+  {
+    n;
+    f;
+    base_model;
+    byz;
+    init_objects = Array.init n algorithm.init_obj;
+    objects = Array.init n algorithm.init_obj;
+    alive = Array.make n true;
+    clients;
+    pendings = Hashtbl.create 64;
+    pending_order = [];
+    responses = Hashtbl.create 64;
+    consumed = Hashtbl.create 64;
+    next_ticket = 1;
+    now = 0;
+    eng;
+    tr = Engine.trace eng;
+    step_awaits = [];
+    all_ops = [];
+    metrics;
+    max_obj_bits = 0;
+    max_total_bits = 0;
+    hist_h = Sb_util.Hash128.create ();
+    fingerprints;
+  }
+
+(* A client's status follows from its fiber: a waiting fiber's quorum is
+   either still open or already met. *)
+let status w cl =
+  if cl.crashed then Crashed
+  else
+    match cl.fb.Engine.waiting with
+    | None -> Idle
+    | Some p -> if await_satisfied w p.tickets p.quorum then Runnable else Parked
+
+let client_status w c = status w w.clients.(c)
 
 let invoke_next w cl =
   match cl.queue with
   | [] -> invalid_arg "Runtime.step: client has no queued operation"
   | kind :: rest ->
     cl.queue <- rest;
-    let op = { id = w.next_op; client = cl.cid; kind; rounds = 0 } in
-    w.next_op <- w.next_op + 1;
-    w.all_ops <- op :: w.all_ops;
-    cl.current_op <- Some op;
-    w.inv_events <- w.inv_events + 1;
-    Trace.add w.tr (Invoke { time = w.now; op = op.id; client = cl.cid; kind });
-    chain_invoke w op kind;
-    if observed w then emit w (E_invoke { op });
-    let ctx = { self = cl.cid; op; n_objects = w.n; prng = cl.c_prng } in
-    let body () =
-      match kind with
-      | Trace.Write v ->
-        w.algorithm.write ctx v;
-        None
-      | Trace.Read -> w.algorithm.read ctx
-    in
-    (match handle_fiber w cl op body with
-     | Done result -> finish_op w cl op result
-     | Blocked -> ())
+    ignore (Engine.start w.eng w cl.fb kind)
 
-let resume w cl =
-  match cl.waiting with
-  | None -> invalid_arg "Runtime.step: client is not waiting"
-  | Some { w_tickets; w_quorum; w_k } ->
-    if not (await_satisfied w w_tickets w_quorum) then
-      invalid_arg "Runtime.step: client's quorum is not satisfied";
-    cl.waiting <- None;
-    cl.status <- Idle;
-    w.step_awaits <- w_tickets @ w.step_awaits;
-    let rs = consume w cl w_tickets in
-    let op = match cl.current_op with Some op -> op | None -> assert false in
-    if observed w then
-      emit w (E_await { op; tickets = w_tickets; quorum = w_quorum; responders = rs });
-    (match continue w_k rs with
-     | Done result -> finish_op w cl op result
-     | Blocked -> ())
+let resume w cl (p : Engine.wait) =
+  if not (await_satisfied w p.tickets p.quorum) then
+    invalid_arg "Runtime.step: client's quorum is not satisfied";
+  w.step_awaits <- p.tickets @ w.step_awaits;
+  ignore (Engine.resume w.eng w cl.fb)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
@@ -712,18 +550,16 @@ let deliverable w =
        w.pending_order)
 
 let client_steppable w cl =
-  match cl.status with
-  | Idle -> cl.queue <> []
-  | Runnable -> true
-  | Parked -> (
-    match cl.waiting with
-    | Some { w_tickets; w_quorum; _ } -> await_satisfied w w_tickets w_quorum
-    | None -> false)
-  | Crashed -> false
+  (not cl.crashed)
+  &&
+  match cl.fb.Engine.waiting with
+  | None -> cl.queue <> []
+  | Some p -> await_satisfied w p.tickets p.quorum
 
 let steppable w =
   Array.to_list w.clients
-  |> List.filter_map (fun cl -> if client_steppable w cl then Some cl.cid else None)
+  |> List.filter_map (fun cl ->
+         if client_steppable w cl then Some cl.fb.Engine.cid else None)
 
 let deliver w ticket =
   match Hashtbl.find_opt w.pendings ticket with
@@ -765,7 +601,7 @@ let deliver w ticket =
     w.objects.(p.p_obj) <- state;
     Trace.add w.tr (Rmw_deliver { time = w.now; ticket; obj = p.p_obj });
     let cl = w.clients.(p.p_client) in
-    let observable = cl.status <> Crashed && not (Hashtbl.mem w.consumed ticket) in
+    let observable = (not cl.crashed) && not (Hashtbl.mem w.consumed ticket) in
     if observed w then
       emit w
         (E_deliver
@@ -781,15 +617,9 @@ let deliver w ticket =
              resp;
              observable;
            });
-    if observable then begin
+    if observable then
       Hashtbl.replace w.responses ticket
-        { d_obj = p.p_obj; d_client = p.p_client; d_op = p.p_op.id; d_resp = resp };
-      match cl.status, cl.waiting with
-      | Parked, Some { w_tickets; w_quorum; _ }
-        when await_satisfied w w_tickets w_quorum ->
-        cl.status <- Runnable
-      | _ -> ()
-    end
+        { d_obj = p.p_obj; d_client = p.p_client; d_op = p.p_op.id; d_resp = resp }
 
 let crash_obj w i =
   if i < 0 || i >= w.n then invalid_arg "Runtime.step: no such object";
@@ -806,9 +636,9 @@ let crash_client w c =
   if c < 0 || c >= Array.length w.clients then
     invalid_arg "Runtime.step: no such client";
   let cl = w.clients.(c) in
-  if cl.status = Crashed then invalid_arg "Runtime.step: client already crashed";
-  cl.status <- Crashed;
-  cl.waiting <- None;
+  if cl.crashed then invalid_arg "Runtime.step: client already crashed";
+  cl.crashed <- true;
+  Engine.crash cl.fb;
   cl.queue <- [];
   (* A crashed client never consumes responses, so its in-flight
      read-only RMWs are no-ops from here on. *)
@@ -833,18 +663,12 @@ let step w decision =
     | Step c ->
       w.step_awaits <- [];
       let cl = w.clients.(c) in
-      (match cl.status with
-       | Crashed -> invalid_arg "Runtime.step: client has crashed"
-       | Idle when cl.queue <> [] ->
-         invoke_next w cl;
-         true
-       | Idle -> invalid_arg "Runtime.step: client has nothing to do"
-       | Runnable ->
-         resume w cl;
-         true
-       | Parked ->
-         resume w cl;
-         true)
+      if cl.crashed then invalid_arg "Runtime.step: client has crashed";
+      (match cl.fb.Engine.waiting with
+       | Some p -> resume w cl p
+       | None when cl.queue <> [] -> invoke_next w cl
+       | None -> invalid_arg "Runtime.step: client has nothing to do");
+      true
     | Crash_obj i ->
       crash_obj w i;
       true
@@ -919,7 +743,7 @@ let decision_enabled w = function
     c >= 0 && c < Array.length w.clients && client_steppable w w.clients.(c)
   | Crash_obj i -> i >= 0 && i < w.n && w.alive.(i) && crashed_objects w < w.f
   | Crash_client c ->
-    c >= 0 && c < Array.length w.clients && w.clients.(c).status <> Crashed
+    c >= 0 && c < Array.length w.clients && not w.clients.(c).crashed
   | Halt -> true
 
 let replay w decisions =
@@ -934,18 +758,17 @@ let replay w decisions =
 
 let fingerprint w =
   (* A digest of the logical state: everything a protocol or policy can
-     observe, minus closures (RMW bodies, parked continuations) and the
+     observe, minus closures (RMW bodies, suspended continuations) and the
      clock.  Two replays of the same decision trace must agree on it. *)
-  let status_code = function Idle -> 0 | Parked -> 1 | Runnable -> 2 | Crashed -> 3 in
   let clients =
     Array.to_list w.clients
     |> List.map (fun cl ->
-           ( cl.cid,
-             status_code cl.status,
+           ( cl.fb.Engine.cid,
+             status_code (status w cl),
              cl.queue,
-             (match cl.current_op with Some op -> op.id | None -> -1),
-             match cl.waiting with
-             | Some { w_tickets; w_quorum; _ } -> Some (w_tickets, w_quorum)
+             (match cl.fb.current with Some op -> op.id | None -> -1),
+             match cl.fb.waiting with
+             | Some p -> Some (p.tickets, p.quorum)
              | None -> None ))
   in
   let pendings =
@@ -967,7 +790,7 @@ let fingerprint w =
       pendings,
       responses,
       w.next_ticket,
-      w.next_op )
+      Engine.invoked w.eng )
   in
   (* sb-lint: allow marshal — in-process replay digest; both sides of every comparison come from the same build, so the representation is shared *)
   Digest.to_hex (Digest.string (Marshal.to_string repr []))
@@ -1035,7 +858,7 @@ let canonical_decisions w ds =
      and natures, plus whether a pending straggler is already consumed;
    - each client's consumed-response log: a fiber is a deterministic
      function of (algorithm, op kinds, prng state, responses consumed),
-     so the log captures the fiber-local state — including its parked
+     so the log captures the fiber-local state — including its suspended
      continuation and the closures of RMWs it has yet to trigger — that
      cannot be inspected directly;
    - the operation events emitted so far, without times.  Histories with
@@ -1112,22 +935,19 @@ let canonical_op_names w =
 let key_digest ~canonical_history w =
   let rename = if canonical_history then canonical_op_names w else string_of_int in
   let tbl = canonical_ids ~rename w in
-  let status_code = function Idle -> 0 | Parked -> 1 | Runnable -> 2 | Crashed -> 3 in
-  let nature_code = function `Mutating -> 0 | `Readonly -> 1 | `Merge -> 2 in
   let clients =
     Array.to_list w.clients
     |> List.map (fun cl ->
-           ( status_code cl.status,
+           ( status_code (status w cl),
              cl.queue,
-             (match cl.current_op with
+             (match cl.fb.Engine.current with
               | Some op -> Some (rename op.id, op.kind)
               | None -> None),
-             (match cl.waiting with
-              | Some { w_tickets; w_quorum; _ } ->
-                Some (List.map (canonical_of tbl) w_tickets, w_quorum)
+             (match cl.fb.waiting with
+              | Some p -> Some (List.map (canonical_of tbl) p.tickets, p.quorum)
               | None -> None),
              cl.consumed_log,
-             (cl.c_prng : Sb_util.Prng.t) ))
+             (cl.fb.prng : Sb_util.Prng.t) ))
   in
   let pendings =
     List.map
@@ -1194,24 +1014,24 @@ let state_hash w =
   Array.iter (fun a -> H.add_int h (Bool.to_int a)) w.alive;
   Array.iter
     (fun cl ->
-      H.add_int h (status_code cl.status);
+      H.add_int h (status_code (status w cl));
       H.add_int h (List.length cl.queue);
       List.iter (hash_op_kind h) cl.queue;
-      (match cl.current_op with
+      (match cl.fb.Engine.current with
        | Some op ->
          H.add_int h 1;
          H.add_int h op.id;
          hash_op_kind h op.kind
        | None -> H.add_int h 0);
-      (match cl.waiting with
-       | Some { w_tickets; w_quorum; _ } ->
+      (match cl.fb.waiting with
+       | Some p ->
          H.add_int h 1;
-         H.add_int h (List.length w_tickets);
-         List.iter (fun t -> H.add_string h (canonical_of tbl t)) w_tickets;
-         H.add_int h w_quorum
+         H.add_int h (List.length p.tickets);
+         List.iter (fun t -> H.add_string h (canonical_of tbl t)) p.tickets;
+         H.add_int h p.quorum
        | None -> H.add_int h 0);
       H.absorb h cl.log_h;
-      let s0, s1, s2, s3 = Sb_util.Prng.state cl.c_prng in
+      let s0, s1, s2, s3 = Sb_util.Prng.state cl.fb.prng in
       H.add_int64 h s0;
       H.add_int64 h s1;
       H.add_int64 h s2;

@@ -15,77 +15,18 @@
     and which components crash.  The lower-bound adversary Ad
     (Definition 7) is one such policy, implemented in [Sb_adversary]. *)
 
-(** {1 RMW interface} *)
+(** {1 Protocol vocabulary}
 
-type resp = Rmwdesc.resp =
-  | Ack
-  (** The RMW mutated the object and returns nothing. *)
-  | Snap of Sb_storage.Objstate.t
-  (** The RMW returns a snapshot of the object state (its value at the
-      linearisation point of the RMW). *)
+    RMWs and their responses, operations, algorithms, the
+    [Trigger]/[Await] effects protocol code performs and the execution
+    events observers receive — defined once in {!Engine.Proto} and shared
+    with every transport that interprets the effects.  This runtime is
+    one of them: {!trigger} registers a pending RMW, which takes effect
+    when the policy delivers it. *)
 
-type rmw = Sb_storage.Objstate.t -> Sb_storage.Objstate.t * resp
-(** An RMW maps the current object state to the new state plus a
-    response; it is applied atomically when the policy delivers it. *)
-
-(** {1 Operations and workloads} *)
-
-type op = {
-  id : int;
-  client : int;
-  kind : Trace.op_kind;
-  mutable rounds : int;  (** Protocol-reported round count (diagnostics). *)
-}
-
-type ctx = {
-  self : int;          (** Client id running the operation. *)
-  op : op;             (** The operation being executed. *)
-  n_objects : int;     (** Number of base objects [n]. *)
-  prng : Sb_util.Prng.t;  (** Client-local deterministic randomness. *)
-}
-
-type algorithm = {
-  name : string;
-  init_obj : int -> Sb_storage.Objstate.t;
-  (** [init_obj i] is the initial state of base object [bo_i]; algorithms
-      seed it with blocks of the initial value [v0] (source op 0). *)
-  write : ctx -> bytes -> unit;
-  read : ctx -> bytes option;
-  (** Protocol bodies, executed inside a client fiber; they may only
-      interact with the world through {!trigger} and {!await}. *)
-}
-
-(** {1 Effects available to protocol code} *)
-
-type rmw_nature = [ `Mutating | `Readonly | `Merge ]
-(** How an RMW interacts with concurrent deliveries on the same object.
-    [`Mutating] (the default) promises nothing.  [`Readonly] declares
-    that the RMW never changes the object state (e.g. a snapshot read);
-    the runtime exploits this twice: once the response can no longer be
-    observed — the await that covered the ticket has returned, the
-    issuing operation has completed, or the issuing client has crashed —
-    the in-flight RMW is a no-op and is dropped instead of remaining
-    deliverable, and the model checker treats read-only RMWs on the same
-    object as commuting.  [`Merge] declares a commutative update:
-    applying it and any other [`Merge] RMW on the same object in either
-    order yields the same final state and the same two responses (e.g.
-    ABD's join-semilattice "keep the higher timestamp" overwrite); the
-    model checker then treats merge/merge delivery pairs as commuting.
-    A wrong declaration is unsound — when in doubt use [`Mutating]. *)
-
-type _ Effect.t +=
-  | Trigger :
-      int * Sb_storage.Block.t list * rmw * rmw_nature * Rmwdesc.t option
-      -> int Effect.t
-  | Await : int list * int -> (int * resp) list Effect.t
-      (** The raw protocol effects, exposed so that alternative runtimes
-          (e.g. the message-passing emulation in [Sb_msgnet], or the
-          socket client in [Sb_service.Sdk]) can install their own
-          handlers and run the very same register protocol code.  The
-          optional {!Rmwdesc.t} is the RMW's serializable description:
-          handlers that ship the RMW over a wire require it and apply
-          [Rmwdesc.apply desc] remotely; the in-process handlers apply
-          the closure and ignore it. *)
+include module type of struct
+  include Engine.Proto
+end
 
 val trigger :
   ?nature:rmw_nature ->
@@ -268,57 +209,9 @@ val last_step_awaits : world -> int list
 
 (** {1 Execution observers (sanitizer hooks)}
 
-    Monitors (e.g. [Sb_sanitize]) subscribe to fine-grained execution
-    events.  Events are deliberately richer than {!Trace.event}: a
-    delivery exposes the RMW closure and the object states around it, an
-    await its responder set — everything an online invariant checker
-    needs and a post-hoc trace cannot reconstruct.  With no observers
-    registered the emission sites cost one list check and allocate
-    nothing. *)
-
-type event =
-  | E_invoke of { op : op }
-  | E_return of { op : op; result : bytes option }
-  | E_trigger of {
-      ticket : int;
-      obj : int;
-      op : op;
-      nature : rmw_nature;
-      payload : Sb_storage.Block.t list;
-      desc : Rmwdesc.t option;
-          (** Serializable description of the triggered RMW, when the
-              protocol supplied one (all registers do); lets observers
-              compare protocol decisions across transports. *)
-    }
-  | E_deliver of {
-      ticket : int;
-      obj : int;
-      client : int;
-      op : int;
-      nature : rmw_nature;
-      rmw : rmw;  (** The applied closure, re-appliable by monitors: an
-                      RMW must be a pure function of the object state. *)
-      before : Sb_storage.Objstate.t;
-      after : Sb_storage.Objstate.t;
-      resp : resp;
-      observable : bool;
-          (** The response was recorded for a future await — [false] for
-              stragglers of consumed awaits and crashed clients. *)
-    }
-  | E_await of {
-      op : op;
-      tickets : int list;
-      quorum : int;
-      responders : (int * resp) list;
-          (** The [(object, response)] pairs the await returned. *)
-    }
-  | E_crash_obj of int
-  | E_recover_obj of int * int
-      (** [(obj, incarnation)]: a crashed base object rejoined with its
-          durable state, now at the given incarnation number.  Only the
-          message-passing runtime ([Sb_msgnet.Mp_runtime]) emits this;
-          the shared-memory model is crash-stop. *)
-  | E_crash_client of int
+    Monitors (e.g. [Sb_sanitize]) subscribe to the {!event} stream.
+    With no observers registered the emission sites cost one list check
+    and allocate nothing. *)
 
 val add_observer : world -> (event -> unit) -> unit
 (** Registers an event sink, called on every event in registration

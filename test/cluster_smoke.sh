@@ -232,6 +232,12 @@ grep -q '"ok": true' "$OPEN_JSON" || {
 grep -q '"schema_rejects": 0' "$OPEN_JSON" || {
   echo "expected no schema rejects in $OPEN_JSON"; cat "$OPEN_JSON"; exit 1;
 }
+# The open loop keeps no trace, so its report must claim no regularity
+# verdict.
+if grep -q '"weak_ok"\|"algo_check_ok"' "$OPEN_JSON"; then
+  echo "open-loop report carries verdicts it never checked"; cat "$OPEN_JSON"
+  exit 1
+fi
 echo "== sharded bench phase passed"
 
 # ---------------------------------------------------------------------

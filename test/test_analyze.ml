@@ -291,6 +291,13 @@ let test_lint_rules_scoped () =
     (List.mem L.Nondet (L.rules_for "lib/service/client_core.ml"));
   Alcotest.(check bool) "io engine exempt from nondet" false
     (List.mem L.Nondet (L.rules_for "lib/service/sdk.ml"));
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        ("client engine gets " ^ L.rule_name rule)
+        true
+        (List.mem rule (L.rules_for "lib/sim/engine.ml")))
+    [ L.Nondet; L.Poly_compare; L.Hashtbl_order ];
   Alcotest.(check bool) "marshal applies everywhere" true
     (List.mem L.Marshal (L.rules_for "lib/experiments/figures.ml"));
   Alcotest.(check bool) "sanitizers get hashtbl-order" true

@@ -169,8 +169,8 @@ let test_socket_put_get () =
         wait_up ();
         let value = Sb_experiments.Workloads.distinct_value ~value_bytes 1 in
         let r =
-          Sdk.run_workload ~algorithm ~seed:7
-            ~workload:[| [ Trace.Write value; Trace.Read ] |]
+          Sdk.run_keyed ~algorithm ~seed:7
+            ~workload:[| [ ("", Trace.Write value); ("", Trace.Read) ] |]
             (Sdk.default_config ~n ~f ~sockdir)
         in
         Alcotest.(check int) "both ops completed" 2 r.Sdk.ops_completed;

@@ -227,6 +227,13 @@ let test_broken_abd_shrinks () =
     let shrunk = Shrink.shrink cfg v.E.v_decisions in
     Alcotest.(check bool) "shrunk trace is no longer than the original" true
       (List.length shrunk <= List.length v.E.v_decisions);
+    Alcotest.(check (list string)) "the exact shrunk counterexample"
+      [
+        "step 0"; "deliver 2"; "deliver 3"; "step 0"; "step 1"; "deliver 8";
+        "deliver 9"; "step 1"; "deliver 10"; "step 1"; "step 2"; "deliver 14";
+        "deliver 15"; "step 2";
+      ]
+      (List.map R.decision_to_string shrunk);
     Alcotest.(check bool)
       (Printf.sprintf "shrunk to at most 15 decisions (got %d)"
          (List.length shrunk))
@@ -250,6 +257,39 @@ let test_broken_abd_shrinks () =
         | Some _ ->
           Alcotest.failf "deleting decision %d still violates: not minimal" i)
       shrunk
+
+(* Exact DPOR totals of the CLI's small exhaustive configurations
+   ([explore -a abd|adaptive -f 1 -k 1 --writers 1 --readers 1]: seed 1,
+   64-byte values, weak regularity).  Any change to what the runtime
+   enables, how a step executes or what the search treats as
+   independent moves them. *)
+let test_dpor_totals_pinned () =
+  let value_bytes = 64 and f = 1 in
+  let n = (2 * f) + 1 in
+  let workload =
+    Sb_experiments.Workloads.writers_and_readers ~value_bytes ~writers:1
+      ~writes_each:1 ~readers:1 ~reads_each:1
+  in
+  let run name algorithm totals =
+    let out =
+      E.explore
+        (E.config ~algorithm ~n ~f ~workload
+           ~initial:(Bytes.make value_bytes '\000') ~check:Reg.check_weak ())
+    in
+    let s = out.E.stats in
+    Alcotest.(check bool) (name ^ ": complete") true out.E.complete;
+    Alcotest.(check (triple int int int))
+      (name ^ ": schedules, transitions, sleep-set prunes") totals
+      (s.E.schedules, s.E.transitions, s.E.sleep_skips)
+  in
+  run "abd"
+    (Sb_registers.Abd.make
+       { Common.n; f; codec = Codec.replication ~value_bytes ~n })
+    (484, 2_804, 2_690);
+  run "adaptive"
+    (Sb_registers.Adaptive.make
+       { Common.n; f; codec = Codec.rs_vandermonde ~value_bytes ~k:1 ~n })
+    (10_988, 81_056, 91_810)
 
 (* DPOR is a pruning, not an approximation.  The reduced search is run
    to completion (cheap); the naive search is capped at ten times the
@@ -430,6 +470,8 @@ let () =
         [
           Alcotest.test_case "broken ABD: violation found and shrunk" `Quick
             test_broken_abd_shrinks;
+          Alcotest.test_case "DPOR totals of the small CLI configs" `Quick
+            test_dpor_totals_pinned;
           Alcotest.test_case "DPOR beats naive enumeration tenfold" `Quick
             test_dpor_beats_naive;
           Alcotest.test_case "state cache agrees with plain search" `Quick

@@ -234,6 +234,50 @@ let test_determinism () =
   in
   Alcotest.(check bool) "identical replays" true (run_once () = run_once ())
 
+(* One seeded faulty run, pinned byte for byte: message loss,
+   duplication, retransmission and a server crash and recovery all
+   happen, and the trace plus the fault counters hash to a fixed
+   digest.  Any change to how the runtime numbers, sends, resends or
+   traces moves the digest. *)
+let test_faulty_run_pinned () =
+  let cfg = coded_cfg ~f:2 ~k:2 in
+  let algorithm = Sb_registers.Adaptive.make cfg in
+  let workload =
+    Sb_experiments.Workloads.writers_and_readers ~value_bytes ~writers:2
+      ~writes_each:2 ~readers:1 ~reads_each:2
+  in
+  let w =
+    MP.create ~seed:5 ~retransmit:{ MP.rto = 8; max_attempts = 0 } ~algorithm
+      ~n:cfg.n ~f:cfg.f ~workload ()
+  in
+  let plan =
+    Sb_faults.Plan.lossy ~duplicate:0.15 0.15
+    |> Sb_faults.Plan.crash_recovery ~server:1 ~crash_at:30 ~recover_at:120
+  in
+  let outcome = MP.run w (Sb_faults.Inject.policy ~seed:9 plan) in
+  let s = MP.net_stats w in
+  Alcotest.(check bool) "quiescent" true outcome.MP.quiescent;
+  Alcotest.(check bool) "every fault happened" true
+    (s.MP.dropped > 0 && s.MP.duplicated > 0 && s.MP.retransmissions > 0
+    && s.MP.recoveries = 1);
+  let stats_line =
+    Printf.sprintf "dropped=%d duplicated=%d retransmissions=%d fenced=%d \
+                    dedup_hits=%d dropped_at_crash=%d recoveries=%d"
+      s.MP.dropped s.MP.duplicated s.MP.retransmissions s.MP.fenced
+      s.MP.dedup_hits s.MP.dropped_at_crash s.MP.recoveries
+  in
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n" (Trace.to_lines (MP.trace w) @ [ stats_line ])))
+  in
+  Alcotest.(check string) "fault counters"
+    "dropped=60 duplicated=69 retransmissions=97 fenced=0 dedup_hits=62 \
+     dropped_at_crash=2 recoveries=1"
+    stats_line;
+  Alcotest.(check string) "trace and counters digest"
+    "a36f86b221115b26666180f72cdbb9ec" digest
+
 let test_message_ordering_not_fifo () =
   (* The channel is unordered: under random delivery, messages can
      overtake each other.  Witness: some run delivers a later-sent
@@ -399,6 +443,7 @@ let () =
       ( "mechanics",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "faulty run pinned" `Quick test_faulty_run_pinned;
           Alcotest.test_case "non-fifo delivery" `Quick test_message_ordering_not_fifo;
           Alcotest.test_case "fifo channels" `Quick test_fifo_channels;
           Alcotest.test_case "fifo ordering enforced" `Quick test_fifo_ordering_enforced;

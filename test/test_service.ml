@@ -472,6 +472,9 @@ let adaptive_setup ~value_bytes ~f ~k =
 
 let is_ok = function Sb_spec.Regularity.Ok -> true | _ -> false
 
+(* Every operation on the pre-sharding [""] register. *)
+let unkeyed workload = Array.map (List.map (fun kind -> ("", kind))) workload
+
 let test_cluster_workload () =
   let value_bytes = 32 in
   let algorithm, cfg = adaptive_setup ~value_bytes ~f:1 ~k:1 in
@@ -481,7 +484,7 @@ let test_cluster_workload () =
           ~writes_each:3 ~readers:1 ~reads_each:3
       in
       let r =
-        Sdk.run_workload ~algorithm ~seed:5 ~workload
+        Sdk.run_keyed ~algorithm ~seed:5 ~workload:(unkeyed workload)
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check bool) "not timed out" false r.Sdk.timed_out;
@@ -544,7 +547,7 @@ let test_sim_socket_parity () =
   (* Socket side: the same seed against a live cluster. *)
   with_cluster ~algorithm ~n:cfg.Common.n (fun sockdir ->
       let r =
-        Sdk.run_workload ~algorithm ~seed ~workload:(mk_workload ())
+        Sdk.run_keyed ~algorithm ~seed ~workload:(unkeyed (mk_workload ()))
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check int) "all ops completed" r.Sdk.ops_invoked r.Sdk.ops_completed;
@@ -558,6 +561,36 @@ let test_sim_socket_parity () =
               D.pp b)
         (List.combine sim_descs r.Sdk.desc_log))
 
+(* Two SDK sessions against one daemon, with the same seed and slot
+   layout, each write the same key: the second session's requests repeat
+   the first's (key, slot, ticket) triples.  The daemon's at-most-once
+   table must not answer the second write from the first session's
+   entries, so a read that follows sees the second value. *)
+let test_sessions_keep_dedup_apart () =
+  let value_bytes = 32 in
+  let algorithm, cfg = adaptive_setup ~value_bytes ~f:1 ~k:1 in
+  let v i = Sb_experiments.Workloads.distinct_value ~value_bytes i in
+  with_cluster ~algorithm ~n:cfg.Common.n (fun sockdir ->
+      let session kind =
+        let r =
+          Sdk.run_keyed ~algorithm ~seed:7 ~workload:[| [ ("k", kind) ] |]
+            (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
+        in
+        Alcotest.(check int) "op completed" 1 r.Sdk.ops_completed;
+        r
+      in
+      ignore (session (Trace.Write (v 1)));
+      ignore (session (Trace.Write (v 2)));
+      let r = session Trace.Read in
+      let reads =
+        List.filter_map
+          (fun (_, kind, _, ret, res) ->
+            match (kind, ret) with Trace.Read, Some _ -> Some res | _ -> None)
+          (Trace.operations r.Sdk.trace)
+      in
+      Alcotest.(check (list (option bytes))) "the second session's value"
+        [ Some (v 2) ] reads)
+
 let test_restart_recovers_incarnation () =
   let value_bytes = 32 in
   let algorithm, cfg = adaptive_setup ~value_bytes ~f:1 ~k:1 in
@@ -565,7 +598,8 @@ let test_restart_recovers_incarnation () =
   let value = Sb_experiments.Workloads.distinct_value ~value_bytes 1 in
   with_cluster ~statedir ~algorithm ~n:cfg.Common.n (fun sockdir ->
       let r =
-        Sdk.run_workload ~algorithm ~seed:3 ~workload:[| [ Trace.Write value ] |]
+        Sdk.run_keyed ~algorithm ~seed:3
+          ~workload:[| [ ("", Trace.Write value) ] |]
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check int) "write completed" 1 r.Sdk.ops_completed);
@@ -581,7 +615,8 @@ let test_restart_recovers_incarnation () =
             2 st.Wire.st_incarnation)
         stats;
       let r =
-        Sdk.run_workload ~algorithm ~seed:4 ~workload:[| [ Trace.Read ] |]
+        Sdk.run_keyed ~algorithm ~seed:4
+          ~workload:[| [ ("", Trace.Read) ] |]
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check int) "read completed" 1 r.Sdk.ops_completed;
@@ -660,7 +695,7 @@ let test_mixed_version_cluster () =
           ~writes_each:2 ~readers:1 ~reads_each:2
       in
       let r =
-        Sdk.run_workload ~algorithm ~seed:11 ~workload
+        Sdk.run_keyed ~algorithm ~seed:11 ~workload:(unkeyed workload)
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check bool) "not timed out" false r.Sdk.timed_out;
@@ -799,7 +834,8 @@ let test_corrupt_state_quarantined () =
   let value = Sb_experiments.Workloads.distinct_value ~value_bytes 1 in
   with_cluster ~statedir ~algorithm ~n:cfg.Common.n (fun sockdir ->
       let r =
-        Sdk.run_workload ~algorithm ~seed:3 ~workload:[| [ Trace.Write value ] |]
+        Sdk.run_keyed ~algorithm ~seed:3
+          ~workload:[| [ ("", Trace.Write value) ] |]
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check int) "write completed" 1 r.Sdk.ops_completed);
@@ -822,7 +858,8 @@ let test_corrupt_state_quarantined () =
       Alcotest.(check bool) "damaged bytes quarantined" true
         (Sys.file_exists (Daemon.quarantine_path file));
       let r =
-        Sdk.run_workload ~algorithm ~seed:4 ~workload:[| [ Trace.Read ] |]
+        Sdk.run_keyed ~algorithm ~seed:4
+          ~workload:[| [ ("", Trace.Read) ] |]
           (Sdk.default_config ~n:cfg.Common.n ~f:cfg.Common.f ~sockdir)
       in
       Alcotest.(check int) "read completed over surviving quorum" 1
@@ -845,7 +882,8 @@ let test_attempts_exhausted () =
   in
   let value = Sb_experiments.Workloads.distinct_value ~value_bytes:32 1 in
   let r =
-    Sdk.run_workload ~algorithm ~seed:1 ~workload:[| [ Trace.Write value ] |]
+    Sdk.run_keyed ~algorithm ~seed:1
+      ~workload:[| [ ("", Trace.Write value) ] |]
       sdk_cfg
   in
   Alcotest.(check bool) "deadline did not strike" false r.Sdk.timed_out;
@@ -879,7 +917,8 @@ let test_deadline_expired () =
     { base with Sdk.rto_ms = 20; max_attempts = 0; deadline_ms = 400 }
   in
   let r =
-    Sdk.run_workload ~algorithm ~seed:1 ~workload:[| [ Trace.Read ] |] sdk_cfg
+    Sdk.run_keyed ~algorithm ~seed:1
+      ~workload:[| [ ("", Trace.Read) ] |] sdk_cfg
   in
   Alcotest.(check bool) "run timed out" true r.Sdk.timed_out;
   Alcotest.(check int) "nothing completed" 0 r.Sdk.ops_completed;
@@ -946,7 +985,9 @@ let test_restart_bump_counted_once () =
       let sdk_cfg =
         { base with Sdk.rto_ms = 30; reconnect_ms = 20; think_ms = 50 }
       in
-      let r = Sdk.run_workload ~algorithm ~seed:9 ~workload sdk_cfg in
+      let r =
+        Sdk.run_keyed ~algorithm ~seed:9 ~workload:(unkeyed workload) sdk_cfg
+      in
       Alcotest.(check bool) "not timed out" false r.Sdk.timed_out;
       Alcotest.(check int) "all ops completed" r.Sdk.ops_invoked
         r.Sdk.ops_completed;
@@ -993,6 +1034,8 @@ let () =
           Alcotest.test_case "workload over sockets" `Quick test_cluster_workload;
           Alcotest.test_case "sim/socket protocol parity" `Quick
             test_sim_socket_parity;
+          Alcotest.test_case "sessions keep their dedup keys apart" `Quick
+            test_sessions_keep_dedup_apart;
           Alcotest.test_case "restart recovers into a fresh incarnation" `Quick
             test_restart_recovers_incarnation;
           Alcotest.test_case "wire-level duplicate is replayed" `Quick

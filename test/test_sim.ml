@@ -384,6 +384,138 @@ let test_trace_blank_lines () =
   | Ok tr -> Alcotest.(check int) "blank lines skipped" 1 (Trace.length tr)
   | Error msg -> Alcotest.fail msg
 
+(* ------------------------------------------------------------------ *)
+(* The client engine over a fake in-memory transport                   *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Sb_sim.Engine
+module D = Sb_sim.Rmwdesc
+
+(* Triggers get consecutive tickets and are logged; the test answers
+   them by hand through [answers]. *)
+type fake = {
+  mutable next : int;
+  mutable sent : (int * D.t option) list;  (* (object, desc), newest first *)
+  answers : (int, int * R.resp) Hashtbl.t;  (* ticket -> (object, resp) *)
+}
+
+let fake_transport =
+  {
+    Engine.send =
+      (fun t _ _ obj _ _ _ desc ->
+        let ticket = t.next in
+        t.next <- ticket + 1;
+        t.sent <- (obj, desc) :: t.sent;
+        ticket);
+    ready =
+      (fun t tickets quorum ->
+        List.length (List.filter (Hashtbl.mem t.answers) tickets) >= quorum);
+    collect =
+      (fun t _ tickets -> List.filter_map (Hashtbl.find_opt t.answers) tickets);
+    started = (fun _ _ -> ());
+    retired = (fun _ _ _ -> ());
+    clock = (fun t -> t.next);
+    traced = true;
+  }
+
+(* A read snapshots three objects, awaits two answers and returns the
+   answering objects, e.g. "0,2".  [store] writes instead trigger one
+   merge-class store per object; [unwound] records that the fiber's
+   cleanup ran. *)
+let probe ?(store = false) ?(unwound = ref false) () : R.algorithm =
+  {
+    name = "probe";
+    init_obj = (fun _ -> Objstate.init ());
+    write =
+      (fun _ v ->
+        let chunk = Chunk.v ~ts:Ts.zero (Block.v ~source:1 ~index:0 v) in
+        ignore
+          (R.broadcast_desc ~n:3 ~payload:(fun _ -> []) (fun _ ->
+               D.Abd_store chunk)));
+    read =
+      (fun _ ->
+        Fun.protect
+          ~finally:(fun () -> unwound := true)
+          (fun () ->
+            let tickets =
+              R.broadcast_desc ~n:3 ~payload:(fun _ -> []) (fun _ -> D.Snapshot)
+            in
+            let rs = R.await ~tickets ~quorum:2 in
+            let objs = List.map (fun (o, _) -> string_of_int o) rs in
+            if store then None
+            else Some (Bytes.of_string (String.concat "," objs))));
+  }
+
+let fake_engine ?(base_model = Sb_baseobj.Model.Rmw) algorithm =
+  let t = { next = 1; sent = []; answers = Hashtbl.create 8 } in
+  let eng = Engine.create ~n:3 ~algorithm ~base_model fake_transport in
+  let fb = Engine.fiber ~cid:0 ~prng:(Sb_util.Prng.create 1) in
+  (t, eng, fb)
+
+let answer t tickets =
+  List.iter
+    (fun tk -> Hashtbl.replace t.answers tk (tk - 1, R.Snap (Objstate.init ())))
+    tickets
+
+let returns eng =
+  List.filter_map
+    (function Trace.Return { result; _ } -> Some result | _ -> None)
+    (Trace.events (Engine.trace eng))
+
+let test_engine_quorum_met () =
+  let t, eng, fb = fake_engine (probe ()) in
+  answer t [ 1; 3 ];
+  Alcotest.(check bool) "returned without parking" true
+    (Engine.start eng t fb Trace.Read);
+  Alcotest.(check bool) "nothing waiting" true (fb.Engine.waiting = None);
+  Alcotest.(check bool) "slot idle" true (fb.Engine.current = None);
+  Alcotest.(check (list (option string))) "result" [ Some "0,2" ]
+    (List.map (Option.map Bytes.to_string) (returns eng));
+  Alcotest.(check (pair int int)) "invoked, completed" (1, 1)
+    (Engine.invoked eng, Engine.completed eng)
+
+let test_engine_parks_and_resumes () =
+  let t, eng, fb = fake_engine (probe ()) in
+  Alcotest.(check bool) "parked" false (Engine.start eng t fb Trace.Read);
+  (match fb.Engine.waiting with
+   | Some w ->
+     Alcotest.(check (list int)) "awaited tickets" [ 1; 2; 3 ] w.Engine.tickets;
+     Alcotest.(check int) "quorum" 2 w.Engine.quorum
+   | None -> Alcotest.fail "fiber not waiting");
+  Alcotest.(check (list (option string))) "no return yet" []
+    (List.map (Option.map Bytes.to_string) (returns eng));
+  answer t [ 2; 3 ];
+  Alcotest.(check bool) "resumed to completion" true (Engine.resume eng t fb);
+  Alcotest.(check bool) "nothing waiting" true (fb.Engine.waiting = None);
+  Alcotest.(check (list (option string))) "collected responses" [ Some "1,2" ]
+    (List.map (Option.map Bytes.to_string) (returns eng))
+
+let test_engine_abandon () =
+  let unwound = ref false in
+  let t, eng, fb = fake_engine (probe ~unwound ()) in
+  ignore (Engine.start eng t fb Trace.Read);
+  (match Engine.abandon fb with
+   | Some op -> Alcotest.(check int) "the running op" 1 op.R.id
+   | None -> Alcotest.fail "no operation abandoned");
+  Alcotest.(check bool) "fiber unwound" true !unwound;
+  Alcotest.(check bool) "nothing waiting" true (fb.Engine.waiting = None);
+  Alcotest.(check bool) "slot idle" true (fb.Engine.current = None);
+  Alcotest.(check int) "no completion" 0 (Engine.completed eng);
+  Alcotest.(check bool) "second abandon is a no-op" true (Engine.abandon fb = None)
+
+let test_engine_model_check () =
+  let t, eng, fb =
+    fake_engine ~base_model:Sb_baseobj.Model.Read_write (probe ~store:true ())
+  in
+  (match Engine.start eng t fb (Trace.Write (v 1)) with
+   | _ -> Alcotest.fail "a merge-class store passed the read/write model"
+   | exception
+       Sb_baseobj.Model.Error
+         (Sb_baseobj.Model.Op_not_supported
+            { cls = Sb_baseobj.Model.General; _ }) ->
+     ());
+  Alcotest.(check int) "nothing was sent" 0 (List.length t.sent)
+
 let () =
   Alcotest.run "sim"
     [
@@ -422,6 +554,14 @@ let () =
           Alcotest.test_case "enqueue_op" `Quick test_enqueue_op;
           Alcotest.test_case "crashed client responses dropped" `Quick
             test_response_to_crashed_client_dropped;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "met quorum continues" `Quick test_engine_quorum_met;
+          Alcotest.test_case "open quorum parks, then resumes" `Quick
+            test_engine_parks_and_resumes;
+          Alcotest.test_case "abandon unwinds" `Quick test_engine_abandon;
+          Alcotest.test_case "base-model check" `Quick test_engine_model_check;
         ] );
       ( "serialisation",
         [
