@@ -367,9 +367,9 @@ let chaos_overhead () =
 
    Quick mode (CI smoke) uses a delay-bounded exploration and enforces
    only the determinism gate plus the codec and baseline gates; the
-   wall-clock speedup and cache-ratio gates need the full flagship
-   space and a multi-core machine, so they are enforced in full mode
-   only (and the speedup bar scales with the available cores). *)
+   wall-clock speedup gate needs the full flagship space and a
+   multi-core machine, so it is enforced in full mode only (and the
+   speedup bar scales with the available cores). *)
 
 module E = Sb_modelcheck.Explore
 
@@ -403,11 +403,11 @@ let jfloat = Sb_util.Jsonx.float
 
 let stats_str (s : E.stats) =
   Printf.sprintf
-    "schedules=%d transitions=%d sleep=%d cache=%d bound=%d depth=%d violations=%d"
-    s.E.schedules s.E.transitions s.E.sleep_skips s.E.cache_skips s.E.bound_skips
-    s.E.max_depth s.E.violations
+    "schedules=%d transitions=%d sleep=%d bound=%d depth=%d violations=%d"
+    s.E.schedules s.E.transitions s.E.sleep_skips s.E.bound_skips s.E.max_depth
+    s.E.violations
 
-let perf_explore_config ~bound ~cache () =
+let perf_explore_config ~bound =
   let value_bytes = 64 in
   let n = 3 and f = 1 in
   let cfg =
@@ -417,7 +417,7 @@ let perf_explore_config ~bound ~cache () =
     Sb_experiments.Workloads.writers_and_readers ~value_bytes ~writers:2
       ~writes_each:1 ~readers:1 ~reads_each:1
   in
-  E.config ~bound ~cache ~algorithm:(Sb_registers.Abd.make cfg) ~n ~f ~workload
+  E.config ~bound ~algorithm:(Sb_registers.Abd.make cfg) ~n ~f ~workload
     ~initial:(Bytes.make value_bytes '\000')
     ~check:Sb_spec.Regularity.check_weak ()
 
@@ -441,66 +441,29 @@ let perf_explore ~quick ~calib =
       let (_, t2) = wall f and (_, t3) = wall f in
       (r, Float.min t (Float.min t2 t3))
   in
-  (* The cache is live only under the exhaustive bound; quick mode
-     measures it on the small 1w/1r space (informational). *)
-  let cache_cfg ~cache =
-    if not quick then perf_explore_config ~bound:E.Exhaustive ~cache ()
-    else begin
-      let value_bytes = 64 in
-      let n = 3 and f = 1 in
-      let cfg =
-        { Sb_registers.Common.n; f; codec = Sb_codec.Codec.replication ~value_bytes ~n }
-      in
-      let workload =
-        Sb_experiments.Workloads.writers_and_readers ~value_bytes ~writers:1
-          ~writes_each:1 ~readers:1 ~reads_each:1
-      in
-      E.config ~cache ~algorithm:(Sb_registers.Abd.make cfg) ~n ~f ~workload
-        ~initial:(Bytes.make value_bytes '\000')
-        ~check:Sb_spec.Regularity.check_weak ()
-    end
-  in
-  (* Through Pexplore, like the CLI: the partitioned driver's per-task
-     cache tables are measurably kinder to the GC than one giant
-     single-tree table (~52s vs ~68s on the flagship).  Measured
-     BEFORE any domain is spawned: once the process has ever run
-     multiple domains, the runtime's single-domain fast paths stay
-     off and the cached pass reads ~15% slower than the CLI's. *)
-  let ou, tu =
-    best (fun () -> Sb_parallel.Pexplore.explore ~jobs:1 (cache_cfg ~cache:false))
-  in
-  let oc_, tc =
-    best (fun () -> Sb_parallel.Pexplore.explore ~jobs:1 (cache_cfg ~cache:true))
-  in
+  (* The jobs=1 pass runs before any domain is spawned: once the
+     process has ever run multiple domains, the runtime's single-domain
+     fast paths stay off and later passes read slower. *)
   let o1, t1 =
     best (fun () ->
-        Sb_parallel.Pexplore.explore ~jobs:1 (perf_explore_config ~bound ~cache:false ()))
+        Sb_parallel.Pexplore.explore ~jobs:1 (perf_explore_config ~bound))
   in
   let o4, t4 =
     best (fun () ->
-        Sb_parallel.Pexplore.explore ~jobs:4 (perf_explore_config ~bound ~cache:false ()))
+        Sb_parallel.Pexplore.explore ~jobs:4 (perf_explore_config ~bound))
   in
   let cores = Domain.recommended_domain_count () in
   let identical = stats_str o1.E.stats = stats_str o4.E.stats in
   let speedup = t1 /. t4 in
-  let cache_ratio = tc /. tu in
   let speedup_req = required_speedup cores in
   (* Quick mode runs spaces too small for stable wall-clock ratios:
-     its speedup/cache numbers are recorded but not enforced.  The
-     cache gate is a regression guard, not a win claim: the hash key
-     cut the cache's overhead from the Marshal key's ~4.1x to ~3.2x on
-     the flagship (see EXPERIMENTS.md M1 for why it still ships off by
-     default); 3.5x here catches a return to Marshal-class cost. *)
+     its speedup number is recorded but not enforced. *)
   let gated = not quick in
   let speedup_pass =
     (not gated)
     || (match speedup_req with None -> true | Some req -> speedup >= req)
   in
-  let cache_gate = 3.5 in
-  let cache_pass =
-    (not gated) || (cache_ratio <= cache_gate && oc_.E.stats.E.cache_skips > 0)
-  in
-  let pass = identical && speedup_pass && cache_pass in
+  let pass = identical && speedup_pass in
   let table =
     Sb_util.Table.create
       ~title:
@@ -522,12 +485,6 @@ let perf_explore ~quick ~calib =
           | Some req -> Printf.sprintf ">= %.1fx, advisory in quick mode" req
           | None -> "none below 2 cores"));
       ("identical totals", if identical then "yes" else "NO");
-      ("uncached wall", Printf.sprintf "%.2fs" tu);
-      ("hash-keyed --cache wall", Printf.sprintf "%.2fs" tc);
-      ("cache ratio", Printf.sprintf "%.2fx (gate: <= %.1fx, %s)" cache_ratio
-         cache_gate
-         (if gated then "enforced" else "advisory in quick mode"));
-      ("cache prunes", string_of_int oc_.E.stats.E.cache_skips);
     ];
   Sb_util.Table.print table;
   json_out "BENCH_explore.json"
@@ -544,11 +501,6 @@ let perf_explore ~quick ~calib =
       ("speedup_required",
        match speedup_req with None -> "null" | Some req -> jfloat req);
       ("identical_totals", jbool identical);
-      ("uncached_s", jfloat tu);
-      ("cached_s", jfloat tc);
-      ("cache_ratio", jfloat cache_ratio);
-      ("cache_prunes", string_of_int oc_.E.stats.E.cache_skips);
-      ("uncached_schedules", string_of_int ou.E.stats.E.schedules);
       ("norm_jobs1", jfloat (t1 *. 1e9 /. calib));
       ("pass", jbool pass);
     ];

@@ -632,14 +632,6 @@ let explore_cmd =
       value & flag
       & info [ "no-dpor" ] ~doc:"Disable sleep-set pruning (naive enumeration).")
   in
-  let cache_flag =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Prune revisits of behaviourally equal worlds (state caching). \
-             Only effective with the exhaustive bound.")
-  in
   let compare_flag =
     Arg.(
       value & flag
@@ -664,15 +656,6 @@ let explore_cmd =
           ~doc:"Explore on N worker domains (0 = one per core).  Subtree \
                 partitioning is deterministic: every jobs level reports \
                 identical totals, verdicts, and counterexamples.")
-  in
-  let paranoid_arg =
-    Arg.(
-      value & flag
-      & info [ "paranoid-key" ]
-          ~doc:"Cross-check the incremental state fingerprint that keys \
-                $(b,--cache) against the full Marshal key at every lookup, \
-                failing on any mismatch.  Test-only: retains a Marshal key \
-                per distinct state, so use small configurations.")
   in
   let lint =
     Arg.(
@@ -725,10 +708,9 @@ let explore_cmd =
     | `Safe -> ("safeness", Sb_spec.Regularity.check_safe)
     | `Atomic -> ("atomicity", fun h -> Sb_spec.Regularity.check_atomic h)
   in
-  let mk_config ?(paranoid_key = false) ?base_model
-      ?(byz_behaviour = Sb_adversary.Byz.Stale_echo) ~algo ~value_bytes ~f ~k
-      ~seed ~writers ~writes_each ~readers ~reads_each ~crashes ~client_crashes
-      ~bound ~dpor ~cache ~lint ~max_schedules ~check () =
+  let mk_config ?base_model ?(byz_behaviour = Sb_adversary.Byz.Stale_echo)
+      ~algo ~value_bytes ~f ~k ~seed ~writers ~writes_each ~readers ~reads_each
+      ~crashes ~client_crashes ~bound ~dpor ~lint ~max_schedules ~check () =
     let algorithm, cfg = build ~rw_writers:writers ~algo ~value_bytes ~f ~k () in
     let model = resolve_model ?override:base_model ~algo ~f () in
     let byz = byz_policy_of ~seed ~n:cfg.n ~model byz_behaviour in
@@ -740,7 +722,7 @@ let explore_cmd =
     let _, check_fn = checker check in
     ( algorithm,
       cfg,
-      E.config ~seed ~dpor ~cache ~paranoid_key ~bound ~crash_objs:crashes
+      E.config ~seed ~dpor ~bound ~crash_objs:crashes
         ~crash_clients:client_crashes ~base_model:model ?byz
         ~max_schedules ~lint ~algorithm ~n:cfg.n ~f:cfg.f ~workload
         ~initial:(Bytes.make value_bytes '\000') ~check:check_fn () )
@@ -822,9 +804,9 @@ let explore_cmd =
       exit 1
   in
   let run algo value_bytes f k seed writers writes_each readers reads_each
-      crashes client_crashes bound no_dpor cache paranoid_key compare_flag
-      compare_budget jobs lint max_schedules check quick replay_file save
-      sanitize base_model byz_behaviour =
+      crashes client_crashes bound no_dpor compare_flag compare_budget jobs
+      lint max_schedules check quick replay_file save sanitize base_model
+      byz_behaviour =
    with_model_errors @@ fun () ->
     (* --quick: the CI smoke preset — tiny exhaustive sweep with lint and
        the sanitizers on, then confirm the seeded abd-broken bug is found
@@ -856,10 +838,9 @@ let explore_cmd =
         else max_schedules
       in
       let algorithm, cfg, econfig =
-        mk_config ~paranoid_key ?base_model ~byz_behaviour ~algo ~value_bytes
-          ~f ~k ~seed ~writers ~writes_each ~readers ~reads_each ~crashes
-          ~client_crashes ~bound ~dpor:(not no_dpor) ~cache ~lint
-          ~max_schedules ~check ()
+        mk_config ?base_model ~byz_behaviour ~algo ~value_bytes ~f ~k ~seed
+          ~writers ~writes_each ~readers ~reads_each ~crashes ~client_crashes
+          ~bound ~dpor:(not no_dpor) ~lint ~max_schedules ~check ()
       in
       let check_name, _ = checker check in
       Printf.printf "algorithm     : %s (n=%d f=%d k=%d D=%d bits, seed %d)\n"
@@ -868,11 +849,10 @@ let explore_cmd =
         "workload      : %d writer(s) x %d, %d reader(s) x %d; crashes: %d obj, %d client\n"
         writers writes_each readers reads_each crashes client_crashes;
       Format.printf
-        "check         : %s; bound: %a; dpor: %s; cache: %s; sanitize: %s; jobs: %d@."
+        "check         : %s; bound: %a; dpor: %s; sanitize: %s; jobs: %d@."
         check_name
         (Arg.conv_printer bound_conv) bound
         (if no_dpor then "off" else "on")
-        (if cache then "on" else "off")
         (if sanitize then "on" else "off")
         jobs;
       let t0 = Unix.gettimeofday () in
@@ -910,7 +890,7 @@ let explore_cmd =
         let _, _, naive =
           mk_config ?base_model ~byz_behaviour ~algo ~value_bytes ~f ~k ~seed
             ~writers ~writes_each ~readers ~reads_each ~crashes ~client_crashes
-            ~bound ~dpor:false ~cache:false ~lint:false
+            ~bound ~dpor:false ~lint:false
             ~max_schedules:naive_cap ~check ()
         in
         let n_out = E.explore naive in
@@ -952,7 +932,7 @@ let explore_cmd =
         let _, _, broken =
           mk_config ~algo:Abd_broken ~value_bytes ~f ~k ~seed ~writers:2
             ~writes_each:1 ~readers:1 ~reads_each:1 ~crashes ~client_crashes
-            ~bound ~dpor:true ~cache:false ~lint:false ~max_schedules:0
+            ~bound ~dpor:true ~lint:false ~max_schedules:0
             ~check:`Weak ()
         in
         let b_out = E.explore broken in
@@ -988,10 +968,9 @@ let explore_cmd =
     Term.(
       const run $ algo_arg $ value_bytes_arg $ f_arg $ k_arg $ seed_arg
       $ writers $ writes_each $ readers $ reads_each $ crashes $ client_crashes
-      $ bound_arg $ no_dpor $ cache_flag $ paranoid_arg $ compare_flag
-      $ compare_budget $ jobs_arg $ lint $ max_schedules $ check_arg $ quick
-      $ replay_file $ save_arg $ sanitize_arg $ base_model_arg
-      $ byz_behaviour_arg)
+      $ bound_arg $ no_dpor $ compare_flag $ compare_budget $ jobs_arg $ lint
+      $ max_schedules $ check_arg $ quick $ replay_file $ save_arg
+      $ sanitize_arg $ base_model_arg $ byz_behaviour_arg)
 
 (* ------------------------------------------------------------------ *)
 (* audit — machine-check the DPOR independence relation                *)

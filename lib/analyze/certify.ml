@@ -35,9 +35,9 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 (* Literal equality, deliberately: DPOR's independence needs the two
-   orders to reach the {e same} world state (the state cache and the
-   fingerprints hash chunk lists as they are), so set-equal-but-
-   reordered piece lists do not count as commuting. *)
+   orders to reach the {e same} world state (the audit key and the
+   replay fingerprint digest chunk lists as they are), so set-equal-
+   but-reordered piece lists do not count as commuting. *)
 let equal_block (a : Block.t) (b : Block.t) =
   a.Block.source = b.Block.source
   && a.Block.index = b.Block.index

@@ -170,8 +170,8 @@ let collect ~rules ~filename src =
       flag loc Nondet "wall-clock read in a protocol core breaks deterministic replay"
     | [ "Marshal"; _ ] ->
       flag loc Marshal
-        "Marshal digests are representation-dependent; only the --paranoid-key \
-         cross-check path may use them"
+        "Marshal digests are representation-dependent; only the in-process \
+         Runtime.fingerprint and Runtime.audit_key digests may use them"
     | [ "Hashtbl"; ("iter" | "fold") ] ->
       flag loc Hashtbl_order
         "Hashtbl iteration order depends on insertion history; order-sensitive \

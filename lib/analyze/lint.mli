@@ -15,9 +15,12 @@
       structural comparison on types that later grow functional or
       cyclic fields fails at runtime, and polymorphic hashes are not
       stable keys across representations.
-    - {b marshal} — no [Marshal.*]: representation-dependent digests are
-      exactly what the incremental fingerprints replaced; the one
-      legitimate holdout is the [--paranoid-key] cross-check.
+    - {b marshal} — no [Marshal.*]: its output depends on the in-memory
+      representation, so it is no format to persist or to compare across
+      builds.  The two legitimate uses are in-process digests whose
+      compared sides always come from the same build:
+      [Runtime.fingerprint] (the replay lint) and [Runtime.audit_key]
+      (the independence audit).
     - {b hashtbl-order} — no [Hashtbl.iter]/[Hashtbl.fold] in protocol
       cores unless the accumulation is order-insensitive: iteration
       order is deterministic only for identical insertion histories, so

@@ -17,8 +17,6 @@ type config = {
   initial : bytes;
   check : Sb_spec.History.t -> Sb_spec.Regularity.verdict;
   dpor : bool;
-  cache : bool;
-  paranoid_key : bool;
   bound : bound;
   crash_objs : int;
   crash_clients : int;
@@ -31,11 +29,10 @@ type config = {
 
 exception Instrumented_failure of exn * R.decision list
 
-let config ?(seed = 1) ?(dpor = true) ?(cache = false) ?(paranoid_key = false)
-    ?(bound = Exhaustive) ?(crash_objs = 0) ?(crash_clients = 0)
-    ?(max_schedules = 0) ?(stop_on_violation = true) ?(lint = false)
-    ?(base_model = Sb_baseobj.Model.Rmw) ?byz ?on_history ?instrument
-    ~algorithm ~n ~f ~workload ~initial ~check () =
+let config ?(seed = 1) ?(dpor = true) ?(bound = Exhaustive) ?(crash_objs = 0)
+    ?(crash_clients = 0) ?(max_schedules = 0) ?(stop_on_violation = true)
+    ?(lint = false) ?(base_model = Sb_baseobj.Model.Rmw) ?byz ?on_history
+    ?instrument ~algorithm ~n ~f ~workload ~initial ~check () =
   {
     algorithm;
     n;
@@ -47,8 +44,6 @@ let config ?(seed = 1) ?(dpor = true) ?(cache = false) ?(paranoid_key = false)
     initial;
     check;
     dpor;
-    cache;
-    paranoid_key;
     bound;
     crash_objs;
     crash_clients;
@@ -68,7 +63,6 @@ type stats = {
   transitions : int;
   replayed_transitions : int;
   sleep_skips : int;
-  cache_skips : int;
   bound_skips : int;
   max_depth : int;
   violations : int;
@@ -90,11 +84,10 @@ type outcome = {
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>schedules explored : %d@ transitions        : %d (+%d replayed)@ \
-     sleep-set prunes   : %d@ state-cache prunes : %d@ bound prunes       : \
-     %d@ max depth          : %d@ violations         : %d@ lint failures    \
-     \  : %d@]"
-    s.schedules s.transitions s.replayed_transitions s.sleep_skips s.cache_skips
-    s.bound_skips s.max_depth s.violations s.lint_failures
+     sleep-set prunes   : %d@ bound prunes       : %d@ max depth          : \
+     %d@ violations         : %d@ lint failures      : %d@]"
+    s.schedules s.transitions s.replayed_transitions s.sleep_skips s.bound_skips
+    s.max_depth s.violations s.lint_failures
 
 (* ------------------------------------------------------------------ *)
 (* Decision points and the independence relation                       *)
@@ -306,7 +299,6 @@ type mstats = {
   mutable m_transitions : int;
   mutable m_replayed : int;
   mutable m_sleep_skips : int;
-  mutable m_cache_skips : int;
   mutable m_bound_skips : int;
   mutable m_max_depth : int;
   mutable m_violations : int;
@@ -319,7 +311,6 @@ let mk_mstats () =
     m_transitions = 0;
     m_replayed = 0;
     m_sleep_skips = 0;
-    m_cache_skips = 0;
     m_bound_skips = 0;
     m_max_depth = 0;
     m_violations = 0;
@@ -348,11 +339,9 @@ let budget0 cfg =
 
 let fresh_world cfg =
   let w =
-    (* The hash chains only feed the state cache; without it their
-       per-step upkeep is a pure tax (~20% on the flagship space). *)
-    R.create ~seed:cfg.seed ~metrics:false ~fingerprints:cfg.cache
-      ~base_model:cfg.base_model ?byz:cfg.byz ~algorithm:cfg.algorithm ~n:cfg.n
-      ~f:cfg.f ~workload:cfg.workload ()
+    R.create ~seed:cfg.seed ~metrics:false ~base_model:cfg.base_model
+      ?byz:cfg.byz ~algorithm:cfg.algorithm ~n:cfg.n ~f:cfg.f
+      ~workload:cfg.workload ()
   in
   (match cfg.instrument with Some f -> f w | None -> ());
   w
@@ -543,81 +532,6 @@ let explore_task ?(abort = fun () -> false) cfg (task : task) =
        if cfg.stop_on_violation then raise Stop);
     if cfg.max_schedules > 0 && st.m_schedules >= cfg.max_schedules then raise Stop
   in
-  (* State cache: interleavings of commuting actions converge to the
-     same logical world, and a node's entire future — both the runs it
-     admits and their verdicts — is determined by the behavioural state
-     up to ticket renaming, plus the un-timed operation events so far.
-     Keys are [Runtime.state_hash] — the incremental 128-bit fingerprint
-     of exactly that information; [cfg.paranoid_key] additionally
-     computes the Marshal-based [Runtime.exploration_key] per state and
-     fails loudly if the two ever disagree (equal Marshal keys mapping
-     to distinct hashes would make the fast key unsound; equal hashes
-     over distinct Marshal keys would be a 128-bit collision).  The
-     search is acyclic (every decision strictly advances a monotone
-     counter: invocations, deliveries, consumed awaits, or crashes), so
-     any revisited key outside the current DFS stack has been fully
-     explored and the revisit can be pruned, turning the schedule tree
-     into a DAG.
-
-     Combining this with sleep sets needs one refinement (Godefroid):
-     exploring a node with sleep set [S] only covers continuations that
-     do not begin with an action in [S].  A revisit with sleep [S'] is
-     covered iff some earlier visit used [S ⊆ S'];  otherwise we
-     re-explore and record [S'] too.  Sleep sets are compared under
-     canonical ticket names, since the revisiting world may number the
-     same live RMWs differently.  Only exact (unbounded) exploration is
-     cached: under delay/preemption bounding the remaining budget would
-     have to join the key. *)
-  let use_cache = cfg.cache && cfg.bound = Exhaustive in
-  let visited : (string, string list list) Hashtbl.t =
-    Hashtbl.create (if use_cache then 4096 else 16)
-  in
-  let hash_of_mkey : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let mkey_of_hash : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let state_key w =
-    let h = R.state_hash w in
-    if cfg.paranoid_key then begin
-      let mk = R.exploration_key w in
-      (match Hashtbl.find_opt hash_of_mkey mk with
-       | Some h' when not (String.equal h' h) ->
-         failwith
-           "Explore: paranoid key check failed — equal Marshal keys with \
-            distinct state hashes (incremental fingerprint is missing state)"
-       | Some _ -> ()
-       | None -> Hashtbl.replace hash_of_mkey mk h);
-      match Hashtbl.find_opt mkey_of_hash h with
-      | Some mk' when not (String.equal mk' mk) ->
-        failwith
-          "Explore: paranoid key check failed — state-hash collision between \
-           distinct Marshal keys"
-      | Some _ -> ()
-      | None -> Hashtbl.replace mkey_of_hash h mk
-    end;
-    h
-  in
-  let rec sorted_subset xs ys =
-    match (xs, ys) with
-    | [], _ -> true
-    | _ :: _, [] -> false
-    | x :: xs', y :: ys' ->
-      if String.equal x y then sorted_subset xs' ys'
-      else if String.compare x y > 0 then sorted_subset xs ys'
-      else false
-  in
-  let cache_covers w sleep =
-    let key = state_key w in
-    let sleep_c =
-      List.sort String.compare
-        (R.canonical_decisions w (List.map (fun b -> b.dec) sleep))
-    in
-    match Hashtbl.find_opt visited key with
-    | Some stored when List.exists (fun s -> sorted_subset s sleep_c) stored ->
-      st.m_cache_skips <- st.m_cache_skips + 1;
-      true
-    | stored ->
-      Hashtbl.replace visited key (sleep_c :: Option.value stored ~default:[]);
-      false
-  in
   (* The search is an explicit-stack DFS over {e frames} — one per node
      on the current root-to-leaf path, each holding the node's enabled
      actions, a cursor, and its sleep-set bookkeeping.  Backtracking re-
@@ -693,38 +607,30 @@ let explore_task ?(abort = fun () -> false) cfg (task : task) =
             List.filter (fun b -> independent a b) (fr.f_sleep @ fr.f_done)
           else []
         in
-        if use_cache && cache_covers w sleep' then begin
-          (* Covered subtree: the action still counts as explored, but
-             the world is already dirty — resume from a fresh replay. *)
+        let child =
+          mk_frame cfg w ~sleep:sleep'
+            ~budget:(fr.f_budget - cost)
+            ~last:(match a.kind with KStep -> a.a_client | _ -> fr.f_last)
+            ~obj_left:
+              (match a.kind with
+              | KCrashObj -> fr.f_obj_left - 1
+              | _ -> fr.f_obj_left)
+            ~cli_left:
+              (match a.kind with
+              | KCrashClient -> fr.f_cli_left - 1
+              | _ -> fr.f_cli_left)
+        in
+        stack := child :: !stack;
+        incr nframes;
+        if !nframes - 1 > st.m_max_depth then st.m_max_depth <- !nframes - 1;
+        if Array.length child.f_acts = 0 then begin
+          finish w (path_of_stack ());
+          stack := List.tl !stack;
+          decr nframes;
           complete_child fr;
           backtrack ()
         end
-        else begin
-          let child =
-            mk_frame cfg w ~sleep:sleep'
-              ~budget:(fr.f_budget - cost)
-              ~last:(match a.kind with KStep -> a.a_client | _ -> fr.f_last)
-              ~obj_left:
-                (match a.kind with
-                | KCrashObj -> fr.f_obj_left - 1
-                | _ -> fr.f_obj_left)
-              ~cli_left:
-                (match a.kind with
-                | KCrashClient -> fr.f_cli_left - 1
-                | _ -> fr.f_cli_left)
-          in
-          stack := child :: !stack;
-          incr nframes;
-          if !nframes - 1 > st.m_max_depth then st.m_max_depth <- !nframes - 1;
-          if Array.length child.f_acts = 0 then begin
-            finish w (path_of_stack ());
-            stack := List.tl !stack;
-            decr nframes;
-            complete_child fr;
-            backtrack ()
-          end
-          else descend w
-        end)
+        else descend w)
   in
   let complete =
     try
@@ -748,7 +654,6 @@ let explore_task ?(abort = fun () -> false) cfg (task : task) =
         transitions = st.m_transitions;
         replayed_transitions = st.m_replayed;
         sleep_skips = st.m_sleep_skips;
-        cache_skips = st.m_cache_skips;
         bound_skips = st.m_bound_skips;
         max_depth = st.m_max_depth;
         violations = st.m_violations;

@@ -18,16 +18,9 @@
     least once, and the class representative has the same history
     precedence relation — so no consistency verdict is lost.
 
-    {b State caching.}  Orthogonally, interleavings of commuting actions
-    converge to the same logical world; since a node's future behaviour
-    and every verdict depend only on [Runtime.exploration_key] (the
-    behavioural state up to ticket renaming, plus the un-timed operation
-    events so far), revisits of a key are pruned, turning the schedule
-    tree into a DAG.  Sound together with sleep sets via Godefroid's
-    refinement: a revisit is only skipped when some earlier visit of the
-    key used a subset of the current sleep set.  Active only under
-    [Exhaustive] (a bounded search would need the remaining budget in
-    the key).
+    The search is stateless: it keeps only the current root-to-leaf
+    path, so its memory is bounded by the schedule depth whatever the
+    size of the space.
 
     {b Bounding.}  For configurations too large to exhaust, {!bound}
     offers delay bounding (explore schedules reachable from the
@@ -80,24 +73,13 @@ type config = {
   byz : Sb_baseobj.Model.byz_policy option;
       (** Byzantine behaviour for compromised objects.  Policies must be
           pure functions of stable inputs (see
-          [Sb_baseobj.Model.byz_policy]) — the state cache assumes two
-          worlds with equal keys behave identically. *)
+          [Sb_baseobj.Model.byz_policy]) — replaying a decision prefix
+          must reach the same world every time. *)
   seed : int;  (** World seed; replays always reuse it. *)
   initial : bytes;  (** The register's initial value [v0]. *)
   check : Sb_spec.History.t -> Sb_spec.Regularity.verdict;
       (** The property every explored history must satisfy. *)
   dpor : bool;  (** Sleep-set pruning on/off (off = naive enumeration). *)
-  cache : bool;
-      (** State caching: prune revisits of behaviourally equal worlds,
-          keyed by the incremental [Runtime.state_hash].  Only effective
-          under [Exhaustive]. *)
-  paranoid_key : bool;
-      (** Cross-check every cache key against the Marshal-based
-          [Runtime.exploration_key]: fail loudly if equal Marshal keys
-          ever map to distinct state hashes (the fast fingerprint missed
-          state) or equal hashes to distinct Marshal keys (a 128-bit
-          collision).  Costs the old Marshal key per cached state — for
-          tests, not production sweeps. *)
   bound : bound;
   crash_objs : int;  (** Max object crashes the explorer may inject. *)
   crash_clients : int;  (** Max client crashes the explorer may inject. *)
@@ -128,8 +110,6 @@ exception Instrumented_failure of exn * Sb_sim.Runtime.decision list
 val config :
   ?seed:int ->
   ?dpor:bool ->
-  ?cache:bool ->
-  ?paranoid_key:bool ->
   ?bound:bound ->
   ?crash_objs:int ->
   ?crash_clients:int ->
@@ -148,10 +128,9 @@ val config :
   check:(Sb_spec.History.t -> Sb_spec.Regularity.verdict) ->
   unit ->
   config
-(** Defaults: [seed 1], [dpor true], [cache false], [paranoid_key
-    false], [Exhaustive], no crashes, no schedule cap, stop on the first
-    violation, no lint, [Rmw] base model, nobody Byzantine, no
-    instrumentation. *)
+(** Defaults: [seed 1], [dpor true], [Exhaustive], no crashes, no
+    schedule cap, stop on the first violation, no lint, [Rmw] base
+    model, nobody Byzantine, no instrumentation. *)
 
 (** {2 The independence relation, exposed}
 
@@ -207,7 +186,6 @@ type stats = {
   transitions : int;  (** Decisions executed by the search itself. *)
   replayed_transitions : int;  (** Decisions re-executed for backtracking/lint. *)
   sleep_skips : int;  (** Branches pruned by sleep sets (DPOR). *)
-  cache_skips : int;  (** Subtrees pruned by the state cache. *)
   bound_skips : int;  (** Branches pruned by the delay/preemption bound. *)
   max_depth : int;
   violations : int;
@@ -285,9 +263,7 @@ val explore_task : ?abort:(unit -> bool) -> config -> task -> outcome
     including the task prefix.  [abort] is polled between schedules —
     when it returns [true] the search stops as if by [Stop] (used to
     cancel subtrees whose results a violation already supersedes; an
-    aborted outcome must be discarded, not merged).  With a fresh
-    per-task state cache, [cache_skips] can differ from the single-tree
-    sequential run, but verdicts never do. *)
+    aborted outcome must be discarded, not merged). *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

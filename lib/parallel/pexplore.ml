@@ -48,7 +48,6 @@ let zero_stats =
     transitions = 0;
     replayed_transitions = 0;
     sleep_skips = 0;
-    cache_skips = 0;
     bound_skips = 0;
     max_depth = 0;
     violations = 0;
@@ -61,7 +60,6 @@ let add_stats a (b : E.stats) ~depth =
     transitions = a.E.transitions + b.E.transitions;
     replayed_transitions = a.E.replayed_transitions + b.E.replayed_transitions;
     sleep_skips = a.E.sleep_skips + b.E.sleep_skips;
-    cache_skips = a.E.cache_skips + b.E.cache_skips;
     bound_skips = a.E.bound_skips + b.E.bound_skips;
     max_depth = max a.E.max_depth (depth + b.E.max_depth);
     violations = a.E.violations + b.E.violations;

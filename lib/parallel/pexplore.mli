@@ -18,17 +18,12 @@
     in exploration order; later subtrees are cancelled (or, under
     [jobs = 1], never started) and their partial results discarded.
 
-    {b Caveats.}  State caches are per-subtree, so with [cache] on a
-    partitioned run can miss prunes the single-tree search found in an
-    earlier subtree: [cache_skips] — and hence schedule counts — can
-    differ from the single-tree sequential numbers (verdicts never
-    do), though they are still identical at every jobs level.  With
-    [cache] off, only [replayed_transitions] differs from the
-    single-tree search (it includes the per-subtree prefix replays).  Configurations the partition
-    cannot honour — a [max_schedules] cap, or [on_history] /
-    [instrument] callbacks, which would run concurrently from several
-    domains — fall back to the sequential search at every jobs
-    level. *)
+    {b Caveats.}  Only [replayed_transitions] differs from the
+    single-tree search (it includes the per-subtree prefix replays).
+    Configurations the partition cannot honour — a [max_schedules] cap,
+    or [on_history] / [instrument] callbacks, which would run
+    concurrently from several domains — fall back to the sequential
+    search at every jobs level. *)
 
 val explore : ?jobs:int -> Sb_modelcheck.Explore.config -> Sb_modelcheck.Explore.outcome
 (** [explore ~jobs cfg] explores like [Explore.explore cfg], splitting

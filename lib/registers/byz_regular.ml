@@ -24,9 +24,21 @@ module D = Sb_sim.Rmwdesc
    full copies and its live storage is >= (f+1) * D — the
    common-information bound integrates replication back in. *)
 
+(* Candidate keys in ascending (ts, source, data) order. *)
+let compare_key (n1, c1, s1, d1) (n2, c2, s2, d2) =
+  match Int.compare n1 n2 with
+  | 0 -> (
+    match Int.compare c1 c2 with
+    | 0 -> ( match Int.compare s1 s2 with 0 -> String.compare d1 d2 | r -> r)
+    | r -> r)
+  | r -> r
+
 let support_key (obj_chunks : (int * Chunk.t) list) =
   (* Groups candidates by (ts, source, data); support = number of
-     distinct objects corroborating the triple. *)
+     distinct objects corroborating the triple.  The result is sorted by
+     that key: the read keeps the first of equally-timestamped
+     candidates, so equal worlds must list them in the same order
+     whatever the table's insertion history. *)
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (obj, (c : Chunk.t)) ->
@@ -41,7 +53,10 @@ let support_key (obj_chunks : (int * Chunk.t) list) =
       in
       if not (List.mem obj objs) then Hashtbl.replace tbl key (obj :: objs, c))
     obj_chunks;
-  Hashtbl.fold (fun _ (objs, c) acc -> (List.length objs, c) :: acc) tbl []
+  (* sb-lint: allow hashtbl-order — collected then sorted by key *)
+  Hashtbl.fold (fun key (objs, c) acc -> (key, (List.length objs, c)) :: acc) tbl []
+  |> List.sort (fun (k1, _) (k2, _) -> compare_key k1 k2)
+  |> List.map snd
 
 let make ~budget (cfg : Common.config) =
   Common.validate cfg;

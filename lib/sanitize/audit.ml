@@ -107,10 +107,10 @@ let audit ?relation ?(max_states = 500) (cfg : Explore.config) =
                 if not (R.decision_enabled w second.dec) then None
                 else begin
                   ignore (R.step w second.dec);
-                  (* [audit_key], not [exploration_key]: the relation
-                     promises convergence up to verdict-preserving
-                     reordering of the event word (inv/inv, ret/ret,
-                     crash swaps), which the strict key distinguishes. *)
+                  (* The relation promises convergence only up to
+                     verdict-preserving reordering of the event word
+                     (inv/inv, ret/ret, crash swaps), which [audit_key]
+                     normalises away. *)
                   Some (R.audit_key w)
                 end
               in

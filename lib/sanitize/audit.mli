@@ -5,10 +5,10 @@
     independent exclusively when, from any state where both are enabled,
     executing them in either order (a) keeps both enabled and (b) reaches
     the same behavioural state up to verdict-preserving reordering of
-    the operation history ([Runtime.audit_key]; strict
-    [exploration_key] equality would be too strong — the relation
-    deliberately permits invocation/invocation and return/return swaps,
-    which permute the event word and renumber ops without changing any
+    the operation history ([Runtime.audit_key], which names ops
+    canonically and normalises the event word, because the relation
+    deliberately permits invocation/invocation and return/return swaps
+    that permute the word and renumber ops without changing any
     checker's verdict).  The relation in turn trusts the [rmw_nature]
     annotations protocols attach to their RMWs — a wrong [`Merge]
     declaration silently prunes real schedules.

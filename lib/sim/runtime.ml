@@ -64,12 +64,8 @@ type client = {
   mutable consumed_log : (int * resp) list list;
   (* Response lists returned by this client's awaits, newest first.  A
      fiber is deterministic in (algorithm, op kinds, prng, this log), so
-     the log stands in for the un-inspectable fiber-local state when
-     exploration fingerprints a world. *)
-  log_h : Sb_util.Hash128.t;
-  (* Chain hash over [consumed_log], maintained as entries are appended
-     — the log grows without bound, so [state_hash] folds it in O(1)
-     instead of rehashing it per key. *)
+     the log stands in for the un-inspectable fiber-local state in
+     [audit_key]. *)
 }
 
 type world = {
@@ -105,106 +101,10 @@ type world = {
   metrics : bool; (* track storage maxima (skipped during exploration) *)
   mutable max_obj_bits : int;
   mutable max_total_bits : int;
-  hist_h : Sb_util.Hash128.t;
-  (* Chain hash over the operation history (the same events, minus
-     times, that [key_digest ~canonical_history:false] folds in),
-     updated at each emission site so [state_hash] never rescans the
-     trace. *)
-  fingerprints : bool;
-  (* Maintain the [hist_h]/[log_h] chains.  Hashing consumed responses
-     (full object-state snapshots) is the dominant always-on cost, so
-     runs that never call [state_hash] — uncached exploration, plain
-     simulation — opt out at creation, like [metrics]. *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Incremental hashing of world components                             *)
-(* ------------------------------------------------------------------ *)
-
-(* These feed both the maintained chains ([hist_h], [log_h]) and the
-   per-key extraction in [state_hash].  Every constructor gets a tag so
-   adjacent fields cannot alias across variants. *)
-
-module H = Sb_util.Hash128
 
 let status_code = function Idle -> 0 | Parked -> 1 | Runnable -> 2 | Crashed -> 3
 let nature_code = function `Mutating -> 0 | `Readonly -> 1 | `Merge -> 2
-
-let hash_op_kind h = function
-  | Trace.Write v ->
-    H.add_int h 1;
-    H.add_bytes h v
-  | Trace.Read -> H.add_int h 2
-
-let hash_block h (b : Sb_storage.Block.t) =
-  H.add_int h b.source;
-  H.add_int h b.index;
-  H.add_bytes h b.data
-
-let hash_chunk h (c : Sb_storage.Chunk.t) =
-  H.add_int h c.ts.num;
-  H.add_int h c.ts.client;
-  hash_block h c.block
-
-let hash_objstate h (st : Sb_storage.Objstate.t) =
-  H.add_int h st.stored_ts.num;
-  H.add_int h st.stored_ts.client;
-  H.add_int h (List.length st.vp);
-  List.iter (hash_chunk h) st.vp;
-  H.add_int h (List.length st.vf);
-  List.iter (hash_chunk h) st.vf
-
-let hash_resp h = function
-  | Ack -> H.add_int h 3
-  | Snap st ->
-    H.add_int h 4;
-    hash_objstate h st
-
-(* History-chain updates, one per emission site below.  Tags mirror the
-   constructors [key_digest] keeps (trigger/deliver events are not part
-   of the operation history and never touch the chain). *)
-let chain_invoke w (op : op) kind =
-  if w.fingerprints then begin
-    H.add_int w.hist_h 5;
-    H.add_int w.hist_h op.id;
-    H.add_int w.hist_h op.client;
-    hash_op_kind w.hist_h kind
-  end
-
-let chain_return w (op : op) result =
-  if w.fingerprints then begin
-    H.add_int w.hist_h 6;
-    H.add_int w.hist_h op.id;
-    H.add_int w.hist_h op.client;
-    match result with
-    | None -> H.add_int w.hist_h 0
-    | Some v ->
-      H.add_int w.hist_h 1;
-      H.add_bytes w.hist_h v
-  end
-
-let chain_crash_obj w i =
-  if w.fingerprints then begin
-    H.add_int w.hist_h 7;
-    H.add_int w.hist_h i
-  end
-
-let chain_crash_client w c =
-  if w.fingerprints then begin
-    H.add_int w.hist_h 8;
-    H.add_int w.hist_h c
-  end
-
-let chain_consume w (cl : client) (rs : (int * resp) list) =
-  if w.fingerprints then begin
-  H.add_int cl.log_h 9;
-  H.add_int cl.log_h (List.length rs);
-  List.iter
-    (fun (obj, r) ->
-      H.add_int cl.log_h obj;
-      hash_resp cl.log_h r)
-    rs
-  end
 
 let add_observer w f = Engine.add_observer w.eng f
 let observed w = Engine.observed w.eng
@@ -366,7 +266,6 @@ let drop_readonly_orphans w tickets =
 let consume w cl tickets =
   let rs = responses_for w tickets in
   cl.consumed_log <- rs :: cl.consumed_log;
-  chain_consume w cl rs;
   List.iter
     (fun t ->
       Hashtbl.remove w.responses t;
@@ -411,12 +310,9 @@ let transport =
         w.step_awaits <- tickets @ w.step_awaits;
         await_satisfied w tickets quorum);
     collect = (fun w fb tickets -> consume w w.clients.(fb.Engine.cid) tickets);
-    started =
-      (fun w op ->
-        w.all_ops <- op :: w.all_ops;
-        chain_invoke w op op.kind);
+    started = (fun w op -> w.all_ops <- op :: w.all_ops);
     retired =
-      (fun w op result ->
+      (fun w op _result ->
         (* Read-only RMWs the op never awaited (or awaited without
            consuming) are dead once it returns. *)
         drop_readonly_orphans w
@@ -425,14 +321,12 @@ let transport =
                match Hashtbl.find_opt w.pendings t with
                | Some p -> p.p_op == op
                | None -> false)
-             w.pending_order);
-        chain_return w op result);
+             w.pending_order));
     clock = (fun w -> w.now);
     traced = true;
   }
 
-let create ?(seed = 1) ?(metrics = true) ?(fingerprints = true)
-    ?(base_model = Sb_baseobj.Model.Rmw) ?byz ~algorithm ~n ~f ~workload () =
+let create ?(seed = 1) ?(metrics = true) ?(base_model = Sb_baseobj.Model.Rmw) ?byz ~algorithm ~n ~f ~workload () =
   if f < 0 || 2 * f >= n then
     invalid_arg "Runtime.create: need 0 <= f < n/2";
   (* The policy must fit the model: lying requires a Byzantine model and
@@ -452,7 +346,6 @@ let create ?(seed = 1) ?(metrics = true) ?(fingerprints = true)
           queue = ops;
           crashed = false;
           consumed_log = [];
-          log_h = Sb_util.Hash128.create ();
         })
       workload
   in
@@ -479,8 +372,6 @@ let create ?(seed = 1) ?(metrics = true) ?(fingerprints = true)
     metrics;
     max_obj_bits = 0;
     max_total_bits = 0;
-    hist_h = Sb_util.Hash128.create ();
-    fingerprints;
   }
 
 (* A client's status follows from its fiber: a waiting fiber's quorum is
@@ -629,7 +520,6 @@ let crash_obj w i =
     invalid_arg "Runtime.step: cannot crash more than f base objects";
   w.alive.(i) <- false;
   Trace.add w.tr (Crash_object { time = w.now; obj = i });
-  chain_crash_obj w i;
   if observed w then emit w (E_crash_obj i)
 
 let crash_client w c =
@@ -650,7 +540,6 @@ let crash_client w c =
          | None -> false)
        w.pending_order);
   Trace.add w.tr (Crash_client { time = w.now; client = c });
-  chain_crash_client w c;
   if observed w then emit w (E_crash_client c)
 
 let step w decision =
@@ -796,7 +685,7 @@ let fingerprint w =
   Digest.to_hex (Digest.string (Marshal.to_string repr []))
 
 (* ------------------------------------------------------------------ *)
-(* Canonical state keys (for stateful exploration)                     *)
+(* The audit key                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Ticket numbers depend on allocation order, so two interleavings that
@@ -804,8 +693,8 @@ let fingerprint w =
    A live ticket (pending, or delivered-but-unconsumed) is canonically
    (client, op, object, rank), where rank orders same-key tickets by
    allocation — stable, because a fiber triggers its RMWs in program
-   order. *)
-let canonical_ids ?(rename = string_of_int) w =
+   order.  [rename] gives the op's canonical name. *)
+let canonical_ids ~rename w =
   let entries =
     List.rev_map
       (fun t ->
@@ -837,38 +726,6 @@ let canonical_of tbl t =
   | Some (c, o, ob, r) -> Printf.sprintf "%d.%s.%d.%d" c o ob r
   | None -> "dead." ^ string_of_int t (* not live: conservative raw name *)
 
-let canonical_decisions w ds =
-  let tbl = canonical_ids w in
-  List.map
-    (function
-      | Deliver t -> "d:" ^ canonical_of tbl t
-      | Step c -> "s:" ^ string_of_int c
-      | Crash_obj i -> "co:" ^ string_of_int i
-      | Crash_client c -> "cc:" ^ string_of_int c
-      | Halt -> "halt")
-    ds
-
-(* A digest of everything that determines the world's future behaviour
-   (up to ticket renaming) AND the verdict of any history check on runs
-   continuing from here:
-
-   - object states, liveness bits, and per-client status / remaining
-     queue / current op;
-   - live RMWs and responses under canonical ticket names, with payloads
-     and natures, plus whether a pending straggler is already consumed;
-   - each client's consumed-response log: a fiber is a deterministic
-     function of (algorithm, op kinds, prng state, responses consumed),
-     so the log captures the fiber-local state — including its suspended
-     continuation and the closures of RMWs it has yet to trigger — that
-     cannot be inspected directly;
-   - the operation events emitted so far, without times.  Histories with
-     the same event order get the same verdict from the order-based
-     checkers, and all future events time-sort after all past ones.
-
-   Deliberately excluded: the clock, ticket/op counters (renaming),
-   round counters and byte maxima (metrics — a cached revisit may
-   under-report them), and RMW delivery events (not part of the
-   operation history). *)
 (* Lexicographic normal form of the operation-event word under the
    commutation relation the checkers justify: two events commute unless
    one is an Invoke and the other a Return (swapping that adjacency
@@ -932,8 +789,28 @@ let canonical_op_names w =
     | Some name -> name
     | None -> "x" ^ string_of_int o (* never invoked: raw name is stable *)
 
-let key_digest ~canonical_history w =
-  let rename = if canonical_history then canonical_op_names w else string_of_int in
+(* A digest of everything that determines the world's future behaviour
+   (up to ticket and op renaming) AND the verdict of any order-based
+   history check on runs continuing from here:
+
+   - object states, liveness bits, and per-client status / remaining
+     queue / current op;
+   - live RMWs and responses under canonical ticket names, with payloads
+     and natures, plus whether a pending straggler is already consumed;
+   - each client's consumed-response log and prng: a fiber is a
+     deterministic function of (algorithm, op kinds, prng state,
+     responses consumed), so these capture the fiber-local state —
+     including its suspended continuation and the closures of RMWs it
+     has yet to trigger — that cannot be inspected directly;
+   - the operation events emitted so far, without times and in the
+     normal form above.  All future events time-sort after all past
+     ones.
+
+   Deliberately excluded: the clock, ticket/op counters (renaming),
+   round counters and byte maxima (metrics), and RMW delivery events
+   (not part of the operation history). *)
+let audit_key w =
+  let rename = canonical_op_names w in
   let tbl = canonical_ids ~rename w in
   let clients =
     Array.to_list w.clients
@@ -979,8 +856,8 @@ let key_digest ~canonical_history w =
         | Trace.Crash_client { client; _ } -> Some (`CC client)
         | Trace.Rmw_trigger _ | Trace.Rmw_deliver _ -> None)
       (Trace.events w.tr)
+    |> canonical_op_events
   in
-  let history = if canonical_history then canonical_op_events history else history in
   let repr =
     ( Array.to_list w.objects,
       Array.to_list w.alive,
@@ -989,87 +866,8 @@ let key_digest ~canonical_history w =
       responses,
       history )
   in
-  (* sb-lint: allow marshal — this is the --paranoid-key cross-check the rule reserves Marshal for *)
+  (* sb-lint: allow marshal — in-process audit digest; both orders of every compared pair come from the same build, so the representation is shared *)
   Digest.to_hex (Digest.string (Marshal.to_string repr []))
-
-let exploration_key w = key_digest ~canonical_history:false w
-let audit_key w = key_digest ~canonical_history:true w
-
-(* The fast fingerprint: hashes exactly the information [key_digest
-   ~canonical_history:false] marshals — canonical ticket names, raw op
-   ids, object states, client state including the consumed-response log
-   and prng, and the un-timed operation history — but streams it
-   through [Hash128] instead of Marshal+MD5, with the two unbounded
-   components (history, consumed logs) folded in O(1) from the
-   maintained chains.  Marshal-key equality therefore implies
-   state-hash equality; [test_modelcheck] checks that property over
-   exhaustively enumerated prefixes, and the explorer's paranoid mode
-   cross-checks it on every cached state. *)
-let state_hash w =
-  if not w.fingerprints then
-    invalid_arg "Runtime.state_hash: world created with ~fingerprints:false";
-  let h = H.create () in
-  let tbl = canonical_ids w in
-  Array.iter (hash_objstate h) w.objects;
-  Array.iter (fun a -> H.add_int h (Bool.to_int a)) w.alive;
-  Array.iter
-    (fun cl ->
-      H.add_int h (status_code (status w cl));
-      H.add_int h (List.length cl.queue);
-      List.iter (hash_op_kind h) cl.queue;
-      (match cl.fb.Engine.current with
-       | Some op ->
-         H.add_int h 1;
-         H.add_int h op.id;
-         hash_op_kind h op.kind
-       | None -> H.add_int h 0);
-      (match cl.fb.waiting with
-       | Some p ->
-         H.add_int h 1;
-         H.add_int h (List.length p.tickets);
-         List.iter (fun t -> H.add_string h (canonical_of tbl t)) p.tickets;
-         H.add_int h p.quorum
-       | None -> H.add_int h 0);
-      H.absorb h cl.log_h;
-      let s0, s1, s2, s3 = Sb_util.Prng.state cl.fb.prng in
-      H.add_int64 h s0;
-      H.add_int64 h s1;
-      H.add_int64 h s2;
-      H.add_int64 h s3)
-    w.clients;
-  (* Live tickets under canonical names, in name order — canonical
-     names are unique per world, so this matches the sorted tuple
-     order [key_digest] uses. *)
-  let pendings =
-    List.rev_map
-      (fun t -> (canonical_of tbl t, Hashtbl.find w.pendings t))
-      w.pending_order
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  H.add_int h (List.length pendings);
-  List.iter
-    (fun (name, (p : pending)) ->
-      H.add_string h name;
-      H.add_int h (List.length p.payload);
-      List.iter (hash_block h) p.payload;
-      H.add_int h (nature_code p.p_nature);
-      H.add_int h (Bool.to_int (Hashtbl.mem w.consumed p.ticket)))
-    pendings;
-  let responses =
-    (* sb-lint: allow hashtbl-order — collected then sorted by canonical name *)
-    Hashtbl.fold
-      (fun t (r : delivered) acc -> (canonical_of tbl t, r.d_resp) :: acc)
-      w.responses []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  H.add_int h (List.length responses);
-  List.iter
-    (fun (name, r) ->
-      H.add_string h name;
-      hash_resp h r)
-    responses;
-  H.absorb h w.hist_h;
-  H.digest h
 
 let decision_to_string = function
   | Deliver t -> "deliver " ^ string_of_int t

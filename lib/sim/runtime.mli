@@ -92,7 +92,6 @@ type pending_info = {
 val create :
   ?seed:int ->
   ?metrics:bool ->
-  ?fingerprints:bool ->
   ?base_model:Sb_baseobj.Model.t ->
   ?byz:Sb_baseobj.Model.byz_policy ->
   algorithm:algorithm ->
@@ -107,11 +106,7 @@ val create :
     [metrics] (default [true]) controls the per-step storage-maxima
     accounting behind {!max_bits_objects}/{!max_bits_total}; the model
     checker re-executes hundreds of millions of steps and turns it off,
-    leaving those maxima at [0].  [fingerprints] (default [true])
-    controls the incremental hash chains behind {!state_hash} — hashing
-    consumed responses is a measurable per-step tax, so worlds that
-    never extract a state hash (uncached exploration, plain simulation
-    at scale) opt out; {!state_hash} then raises [Invalid_argument].
+    leaving those maxima at [0].
 
     [base_model] (default [Rmw]) selects the base-object interface
     ({!Sb_baseobj.Model.t}).  Under [Read_write], triggers are gated on
@@ -216,8 +211,8 @@ val last_step_awaits : world -> int list
 val add_observer : world -> (event -> unit) -> unit
 (** Registers an event sink, called on every event in registration
     order.  Observers must not mutate the world.  Observers are not part
-    of the {!fingerprint}/{!exploration_key} state, so instrumented and
-    bare replays of the same decision trace reach identical digests. *)
+    of the {!fingerprint}/{!audit_key} state, so instrumented and bare
+    replays of the same decision trace reach identical digests. *)
 
 (** {1 Scheduling} *)
 
@@ -272,8 +267,9 @@ val fifo_policy : unit -> policy
 
     The model checker in [Sb_modelcheck] drives a world through {e all}
     schedules instead of one policy-chosen schedule.  It needs to ask
-    which decisions are enabled without trying them, to re-execute a
-    recorded decision trace, and to compare the states two executions
+    which decisions are enabled without trying them and to re-execute a
+    recorded decision trace; its determinism lint and the independence
+    audit in [Sb_sanitize] also compare the states two executions
     reach. *)
 
 val decision_enabled : world -> decision -> bool
@@ -301,23 +297,23 @@ val fingerprint : world -> string
     produce equal fingerprints; the determinism lint in [Sb_modelcheck]
     enforces this for every shipped algorithm. *)
 
-val exploration_key : world -> string
-(** A digest (hex) of the world's behavioural state: everything that
-    determines future behaviour — up to renaming of tickets, which
-    histories never mention — together with the operation events emitted
-    so far (without timestamps; the order-based consistency checkers are
-    invariant under order-preserving retiming).  Live tickets are named
-    canonically by (client, op, object, allocation rank), and each
-    client's fiber-local state is captured by its consumed-response log
-    (a fiber is deterministic in the responses it has consumed).  Two
-    worlds with equal keys admit the same continuations and assign every
-    completed run the same verdict, so a stateful explorer may prune a
-    revisited key.  Unlike {!fingerprint} this deliberately ignores
-    clocks, allocation counters, and metrics such as round counters and
-    storage maxima. *)
-
 val audit_key : world -> string
-(** Like {!exploration_key}, but the operation-event word is first
+(** A digest (hex) of the world's behavioural state up to renaming of
+    tickets and ops, together with the operation events emitted so far
+    in a verdict-preserving normal form.
+
+    The state part is everything that determines future behaviour:
+    object states and liveness, each client's status, queue, current op
+    and awaited tickets, and the live RMWs and responses.  Live tickets
+    are named canonically by (client, op, object, allocation rank), and
+    the k-th op of client [c] is named ["c_k"], so allocation order
+    does not leak into the key.  Each client's fiber-local state is
+    captured by its consumed-response log and prng (a fiber is
+    deterministic in the responses it has consumed).  Clocks, allocation
+    counters and metrics such as round counters and storage maxima are
+    deliberately left out.
+
+    The history part is the operation-event word without timestamps,
     rewritten to the lexicographic normal form of its trace-equivalence
     class under the commutation the checkers justify: invoke/invoke and
     return/return adjacencies commute, crash markers commute with
@@ -326,34 +322,8 @@ val audit_key : world -> string
     edge).  Two worlds get equal audit keys exactly when they agree on
     behavioural state {e and} on every order-based consistency verdict —
     the ground truth the independence audit in [Sb_sanitize] compares
-    against, where strict {!exploration_key} equality would wrongly
-    flag the verdict-preserving invocation/invocation swaps the
-    explorer deliberately permits. *)
-
-val state_hash : world -> string
-(** A 16-byte binary fingerprint of exactly the information behind
-    {!exploration_key}, computed with an incremental 128-bit hash
-    instead of Marshal+MD5.  The two unbounded components — the
-    operation history and each client's consumed-response log — are
-    folded from chain hashes maintained as the world steps, so a key
-    extraction touches only the live state and costs roughly a
-    microsecond on explorer-sized worlds (vs ~15 µs for the Marshal
-    key).  The cheaper key cuts the cache's overhead to roughly
-    three-quarters of the Marshal version's — see EXPERIMENTS.md M1 for
-    why it still ships off by default.  Requires a world created with
-    [~fingerprints:true] (the default); raises [Invalid_argument]
-    otherwise.
-
-    Equal {!exploration_key}s imply equal [state_hash]es.  The converse
-    holds only up to 128-bit collision probability; the explorer's
-    paranoid mode ([Explore.config.paranoid_key]) cross-checks every
-    cached state against the Marshal key. *)
-
-val canonical_decisions : world -> decision list -> string list
-(** The decisions' stable names under the same canonical ticket naming
-    as {!exploration_key}, so decision sets can be compared across
-    differently-numbered worlds that share a key (sleep sets in a
-    stateful search). *)
+    against, since the explorer deliberately treats
+    invocation/invocation and return/return swaps as independent. *)
 
 (** {2 Decision serialisation}
 

@@ -1,13 +1,12 @@
 (* A fast 128-bit streaming hash: two independent 64-bit lanes, each
-   mixed with a murmur3-style round per absorbed word.  Used for the
-   explorer's incremental state fingerprints, where Marshal+MD5 is far
-   too slow (~15 µs per key vs ~1 µs here on small worlds).
+   mixed with a murmur3-style round per absorbed word.  Its output is
+   persisted — the checksum trailer of durable state files, shard
+   placement, the schema hash in the golden schemas/*.json — so the
+   constants and the absorption order below must never change.
 
-   Not cryptographic.  Collision resistance only needs to beat the
-   size of a schedule-exploration cache (millions of keys), which two
-   independent 64-bit lanes do comfortably; the explorer additionally
-   offers a --paranoid-key mode that cross-checks against the Marshal
-   key. *)
+   Not cryptographic.  Two independent 64-bit lanes make an accidental
+   collision between distinct inputs negligible at the scale of a
+   key space or a state directory. *)
 
 type t = { mutable a : int64; mutable b : int64 }
 
@@ -18,10 +17,6 @@ let c1b = 0xff51afd7ed558ccdL
 let c2b = 0xc4ceb9fe1a85ec53L
 
 let create () = { a = 0x9e3779b97f4a7c15L; b = 0x6a09e667f3bcc909L }
-let copy t = { a = t.a; b = t.b }
-let reset t =
-  t.a <- 0x9e3779b97f4a7c15L;
-  t.b <- 0x6a09e667f3bcc909L
 
 let[@inline] rotl x r = Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
 
@@ -64,7 +59,6 @@ let add_subbytes t buf pos len =
 
 let add_bytes t buf = add_subbytes t buf 0 (Bytes.length buf)
 let add_string t s = add_subbytes t (Bytes.unsafe_of_string s) 0 (String.length s)
-let add_char t c = add_int t (Char.code c)
 
 (* splitmix64 finalizer — avalanche both lanes before exposing them. *)
 let[@inline] fmix k =
@@ -86,12 +80,3 @@ let digest t =
 let to_hex t =
   let x, y = lanes t in
   Printf.sprintf "%016Lx%016Lx" x y
-
-let absorb t other =
-  (* Mix another hasher's (finalized) lanes into this one, e.g. a
-     per-client chain hash into the state-wide extraction hash. *)
-  let x, y = lanes other in
-  add_int64 t x;
-  add_int64 t y
-
-let equal t u = Int64.equal t.a u.a && Int64.equal t.b u.b

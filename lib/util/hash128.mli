@@ -1,28 +1,16 @@
 (** Fast 128-bit streaming hash (two independent murmur3-style 64-bit
-    lanes).  Built for the explorer's incremental state fingerprints:
-    absorbing a word costs a handful of multiplies, so hashing a small
-    simulator world is ~10× cheaper than [Marshal]+MD5.
+    lanes).  Seedless and stable across runs and builds, so its output
+    can be persisted: it checksums durable state files, places keys on
+    shards, and fingerprints wire schemas.
 
-    Not cryptographic.  The explorer's [--paranoid-key] mode
-    cross-checks these keys against the Marshal-based
-    [Runtime.exploration_key] when stronger guarantees are wanted. *)
+    Not cryptographic: it guards against corruption and accidental
+    collisions, not against an adversary. *)
 
 type t
 (** Mutable streaming state. *)
 
 val create : unit -> t
 (** Fresh hasher in the (fixed, seedless) initial state. *)
-
-val copy : t -> t
-(** Independent copy of the current state — the basis for chain hashes
-    over append-only structures (absorb the delta into the copy). *)
-
-val reset : t -> unit
-(** Return to the initial state, reusing the allocation. *)
-
-val add_int : t -> int -> unit
-val add_int64 : t -> int64 -> unit
-val add_char : t -> char -> unit
 
 val add_bytes : t -> bytes -> unit
 (** Absorbs contents and length ([add_bytes h b] differs from absorbing
@@ -31,18 +19,11 @@ val add_bytes : t -> bytes -> unit
 val add_string : t -> string -> unit
 val add_subbytes : t -> bytes -> int -> int -> unit
 
-val absorb : t -> t -> unit
-(** [absorb t u] mixes [u]'s finalized lanes into [t] without touching
-    [u] — composes chain hashes into an extraction hash. *)
-
 val lanes : t -> int64 * int64
 (** Finalized (avalanched) lanes.  Does not mutate. *)
 
 val digest : t -> string
-(** 16-byte binary digest of {!lanes} — cheap hashtable key. *)
+(** 16-byte binary digest of {!lanes}. *)
 
 val to_hex : t -> string
-(** 32-char hex rendering of {!lanes}, for diagnostics. *)
-
-val equal : t -> t -> bool
-(** State equality (same absorbed sequence ⇒ equal). *)
+(** 32-char hex rendering of {!lanes}. *)

@@ -84,5 +84,3 @@ let bytes t n =
     Bytes.unsafe_set b i (Char.unsafe_chr (int t 256))
   done;
   b
-
-let state t = (t.s0, t.s1, t.s2, t.s3)

@@ -42,8 +42,3 @@ val shuffle : t -> 'a array -> unit
 
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] uniformly random bytes. *)
-
-val state : t -> int64 * int64 * int64 * int64
-(** The raw 256-bit xoshiro state, exposed so exploration can hash a
-    generator without marshalling it.  Two generators with equal state
-    produce identical streams. *)

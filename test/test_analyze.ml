@@ -113,7 +113,7 @@ let test_adaptive_update_idempotence_refuted () =
 (* ------------------------------------------------------------------ *)
 
 (* Literal structural equality, matching the certifier's notion (and the
-   state cache's: fingerprints hash chunk lists as-is). *)
+   audit key's: it digests chunk lists as-is). *)
 let equal_state (a : Sb_storage.Objstate.t) b = a = b
 let equal_resp (a : D.resp) b = a = b
 
@@ -221,6 +221,17 @@ let test_json_smoke () =
   let s = Rep.json ~algebra:c ~lint:rp () in
   Alcotest.(check bool) "mentions algebra" true
     (String.length s > 100 && String.sub s 0 12 = {|{"algebra": |})
+
+(* The source lint over the library tree — the same scan the CI step
+   `spacebounds lint --src lib` runs: every finding in the library
+   sources must be fixed or carry a reasoned pragma. *)
+let test_lib_tree_clean () =
+  let root = if Sys.file_exists "lint_fixtures" then "../lib" else "lib" in
+  let rp = L.lint_tree ~root in
+  Alcotest.(check bool) "scanned the library sources" true (rp.L.rp_files > 0);
+  Alcotest.(check (list string)) "no parse errors" [] (List.map fst rp.L.rp_errors);
+  Alcotest.(check (list string)) "no active findings" []
+    (List.map (Format.asprintf "%a" L.pp_finding) (L.failures rp))
 
 (* ------------------------------------------------------------------ *)
 (* Lint: unit tests on inline sources                                  *)
@@ -378,6 +389,7 @@ let () =
         [
           Alcotest.test_case "all gates pass" `Quick test_gates_ok;
           Alcotest.test_case "json smoke" `Quick test_json_smoke;
+          Alcotest.test_case "lib sources lint clean" `Quick test_lib_tree_clean;
         ] );
       ( "lint",
         [

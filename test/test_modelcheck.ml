@@ -196,13 +196,12 @@ module Shrink = Sb_modelcheck.Shrink
 module Reg = Sb_spec.Regularity
 
 let explore_config ?(mk = Sb_registers.Abd.make) ?(check = Reg.check_strong)
-    ?dpor ?cache ?paranoid_key ?lint ?on_history ?stop_on_violation
-    ?max_schedules workload =
+    ?dpor ?lint ?on_history ?stop_on_violation ?max_schedules workload =
   let value_bytes = 8 in
   let n = 3 and f = 1 in
   let cfg = { Common.n; f; codec = Codec.replication ~value_bytes ~n } in
-  E.config ?dpor ?cache ?paranoid_key ?lint ?on_history ?stop_on_violation
-    ?max_schedules ~algorithm:(mk cfg) ~n ~f ~workload
+  E.config ?dpor ?lint ?on_history ?stop_on_violation ?max_schedules
+    ~algorithm:(mk cfg) ~n ~f ~workload
     ~initial:(Bytes.make value_bytes '\000') ~check ()
 
 let small_workload =
@@ -332,123 +331,6 @@ let test_dpor_beats_naive () =
         (List.mem v vals_dpor))
     vals_naive
 
-(* State caching must not change any verdict, only the amount of work. *)
-let test_cache_agrees () =
-  let workload =
-    let v i = Sb_util.Values.distinct ~value_bytes:8 i in
-    [| [ Trace.Write (v 1) ]; [ Trace.Read ] |]
-  in
-  let run ~cache =
-    let out = E.explore (explore_config ~cache workload) in
-    Alcotest.(check bool) "exploration completed" true out.E.complete;
-    (out.E.stats.E.schedules, out.E.stats.E.violations)
-  in
-  let with_cache, viol_cache = run ~cache:true in
-  let without, viol_plain = run ~cache:false in
-  Alcotest.(check int) "no violations either way" viol_plain viol_cache;
-  Alcotest.(check bool)
-    (Printf.sprintf "cache never increases schedules (%d vs %d)" with_cache
-       without)
-    true
-    (with_cache <= without)
-
-(* --- State-hash fidelity ------------------------------------------- *)
-
-(* The state cache is keyed by [Runtime.state_hash], a 128-bit hash
-   maintained incrementally across steps; [Runtime.exploration_key] is
-   the Marshal-based ground truth it replaced.  Cache soundness needs
-   the hash to refine the key: Marshal-equal states must hash equal.
-   The converse (hash-equal implies Marshal-equal) is a collision check
-   — in spaces this small a counterexample is a maintenance bug, not
-   bad luck with 2^-64 odds. *)
-
-let world_of_config cfg =
-  Sb_sim.Runtime.create ~seed:cfg.E.seed ~algorithm:cfg.E.algorithm ~n:cfg.E.n
-    ~f:cfg.E.f ~workload:cfg.E.workload ()
-
-(* Shared across prefixes and across tests: states reached by different
-   routes must agree on key -> hash, exactly as the cache assumes. *)
-let key_to_hash : (string, string) Hashtbl.t = Hashtbl.create 4096
-let hash_to_key : (string, string) Hashtbl.t = Hashtbl.create 4096
-
-let record_state w =
-  let key = R.exploration_key w and h = R.state_hash w in
-  (match Hashtbl.find_opt key_to_hash key with
-   | None -> Hashtbl.add key_to_hash key h
-   | Some h' ->
-     if not (String.equal h h') then
-       Alcotest.fail "equal Marshal keys mapped to distinct state hashes");
-  match Hashtbl.find_opt hash_to_key h with
-  | None -> Hashtbl.add hash_to_key h key
-  | Some key' ->
-    if not (String.equal key key') then
-      Alcotest.fail "state-hash collision across distinct Marshal keys"
-
-(* Every decision prefix of the small workload, breadth-exhaustively to
-   a fixed depth, each replayed on a fresh world: incremental hashing
-   must agree with Marshal whatever the route to a state. *)
-let test_hash_refines_marshal_key () =
-  let cfg = explore_config small_workload in
-  let states = ref 0 in
-  let rec walk prefix depth =
-    let w = world_of_config cfg in
-    ignore (R.replay w (List.rev prefix));
-    incr states;
-    record_state w;
-    if depth > 0 then
-      List.iter
-        (fun a -> walk (a.E.dec :: prefix) (depth - 1))
-        (E.enabled_actions cfg w ~obj_left:0 ~cli_left:0)
-  in
-  walk [] 5;
-  Alcotest.(check bool)
-    (Printf.sprintf "visited a non-trivial prefix tree (%d states)" !states)
-    true (!states > 100)
-
-(* Random walks, hashing after every step: unlike the fresh-replay test
-   above, this exercises long chains of incremental hash updates on a
-   single mutated world. *)
-let test_hash_random_walks =
-  qtest ~count:100 "state hash matches Marshal key along random walks"
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
-      let cfg = explore_config small_workload in
-      let prng = Prng.create seed in
-      let w = world_of_config cfg in
-      record_state w;
-      (try
-         for _ = 1 to 4 + Prng.int prng 16 do
-           match E.enabled_actions cfg w ~obj_left:0 ~cli_left:0 with
-           | [] -> raise Exit
-           | actions ->
-             let a = List.nth actions (Prng.int prng (List.length actions)) in
-             ignore (R.step w a.E.dec);
-             record_state w
-         done
-       with Exit -> ());
-      true)
-
-(* The cross-check the cache itself runs under --paranoid-key: an
-   exhaustive cached search must complete with the check enabled and
-   prune exactly what the unchecked cache prunes.  (Paranoid mode keeps
-   a Marshal key per cached state, so the space here stays small.) *)
-let test_paranoid_cache_agrees () =
-  let workload =
-    let v i = Sb_util.Values.distinct ~value_bytes:8 i in
-    [| [ Trace.Write (v 1) ]; [ Trace.Read ] |]
-  in
-  let run ~paranoid_key =
-    E.explore (explore_config ~cache:true ~paranoid_key workload)
-  in
-  let plain = run ~paranoid_key:false in
-  let paranoid = run ~paranoid_key:true in
-  Alcotest.(check bool) "paranoid run completed" true paranoid.E.complete;
-  Alcotest.(check int) "no violations" 0 paranoid.E.stats.E.violations;
-  Alcotest.(check int) "same schedules as unchecked cache"
-    plain.E.stats.E.schedules paranoid.E.stats.E.schedules;
-  Alcotest.(check int) "same cache prunes as unchecked cache"
-    plain.E.stats.E.cache_skips paranoid.E.stats.E.cache_skips
-
 (* The determinism lint re-executes every schedule from its decision
    trace; a deterministic protocol must never diverge. *)
 let test_lint_clean () =
@@ -474,16 +356,6 @@ let () =
             test_dpor_totals_pinned;
           Alcotest.test_case "DPOR beats naive enumeration tenfold" `Quick
             test_dpor_beats_naive;
-          Alcotest.test_case "state cache agrees with plain search" `Quick
-            test_cache_agrees;
           Alcotest.test_case "determinism lint is clean" `Quick test_lint_clean;
-        ] );
-      ( "state-hash",
-        [
-          Alcotest.test_case "hash refines the Marshal key over all prefixes"
-            `Quick test_hash_refines_marshal_key;
-          test_hash_random_walks;
-          Alcotest.test_case "paranoid cache cross-check agrees" `Quick
-            test_paranoid_cache_agrees;
         ] );
     ]

@@ -16,13 +16,11 @@ module Codec = Sb_codec.Codec
 module Reg = Sb_spec.Regularity
 
 let explore_config ?(mk = Sb_registers.Abd.make) ?(check = Reg.check_strong)
-    ?cache ?paranoid_key ?bound ?crash_objs ?crash_clients ?stop_on_violation
-    workload =
+    ?bound ?crash_objs ?crash_clients ?stop_on_violation workload =
   let value_bytes = 8 in
   let n = 3 and f = 1 in
   let cfg = { Common.n; f; codec = Codec.replication ~value_bytes ~n } in
-  E.config ?cache ?paranoid_key ?bound ?crash_objs ?crash_clients
-    ?stop_on_violation ~algorithm:(mk cfg) ~n ~f ~workload
+  E.config ?bound ?crash_objs ?crash_clients ?stop_on_violation ~algorithm:(mk cfg) ~n ~f ~workload
     ~initial:(Bytes.make value_bytes '\000') ~check ()
 
 let v i = Sb_util.Values.distinct ~value_bytes:8 i
@@ -30,17 +28,14 @@ let v i = Sb_util.Values.distinct ~value_bytes:8 i
 let workload_2w1r =
   [| [ Trace.Write (v 1) ]; [ Trace.Write (v 2) ]; [ Trace.Read ] |]
 
-(* Small enough for the paranoid cross-check, which Marshals (and
-   retains a key for) every distinct state it visits. *)
 let workload_1w1r = [| [ Trace.Write (v 1) ]; [ Trace.Read ] |]
 
 let pp_stats (s : E.stats) =
   Printf.sprintf
-    "schedules=%d transitions=%d replayed=%d sleep=%d cache=%d bound=%d \
-     depth=%d violations=%d lint=%d"
+    "schedules=%d transitions=%d replayed=%d sleep=%d bound=%d depth=%d \
+     violations=%d lint=%d"
     s.E.schedules s.E.transitions s.E.replayed_transitions s.E.sleep_skips
-    s.E.cache_skips s.E.bound_skips s.E.max_depth s.E.violations
-    s.E.lint_failures
+    s.E.bound_skips s.E.max_depth s.E.violations s.E.lint_failures
 
 (* --- jobs=1 vs jobs=4: byte-identical totals ----------------------- *)
 
@@ -63,7 +58,7 @@ let test_jobs_identical_clean () =
     (out1.E.complete && out4.E.complete);
   (* Verdict-level agreement with the plain single-tree search.  The
      partitioned run replays each subtree's prefix, so only
-     [replayed_transitions] may differ (cache is off here). *)
+     [replayed_transitions] may differ. *)
   let seq = E.explore (bounded_cfg ()) in
   Alcotest.(check int) "schedules match sequential" seq.E.stats.E.schedules
     out1.E.stats.E.schedules;
@@ -126,20 +121,6 @@ let test_jobs_identical_crashes () =
   Alcotest.(check int) "violations match sequential" seq.E.stats.E.violations
     out1.E.stats.E.violations
 
-(* With the state cache on, per-subtree caches may prune less than the
-   single-tree search — but the verdict and the jobs-level agreement
-   must hold, and the paranoid Marshal cross-check must stay silent. *)
-let test_jobs_identical_cached () =
-  let cfg () = explore_config ~cache:true ~paranoid_key:true workload_1w1r in
-  let out1 = P.explore ~jobs:1 (cfg ()) in
-  let out4 = P.explore ~jobs:4 (cfg ()) in
-  Alcotest.(check string) "identical stats across jobs" (pp_stats out1.E.stats)
-    (pp_stats out4.E.stats);
-  Alcotest.(check bool) "no violation" true (out1.E.first_violation = None);
-  let seq = E.explore (cfg ()) in
-  Alcotest.(check int) "violations match sequential" seq.E.stats.E.violations
-    out1.E.stats.E.violations
-
 (* jobs=0 resolves to the machine's domain count; still deterministic. *)
 let test_jobs_auto () =
   let out0 = P.explore ~jobs:0 (explore_config workload_1w1r) in
@@ -188,8 +169,6 @@ let () =
             `Quick test_jobs_identical_violation;
           Alcotest.test_case "crash budgets: identical totals" `Quick
             test_jobs_identical_crashes;
-          Alcotest.test_case "state cache on: identical totals, paranoid key"
-            `Quick test_jobs_identical_cached;
           Alcotest.test_case "jobs=0 resolves to machine default" `Quick
             test_jobs_auto;
           Alcotest.test_case "max_schedules falls back to sequential" `Quick
