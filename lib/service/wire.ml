@@ -201,6 +201,14 @@ let r_bytes c =
   c.pos <- c.pos + n;
   s
 
+(* The read side of [w_string]: one copy, straight into the string. *)
+let r_string c =
+  let n = r_u32 c in
+  need c n;
+  let s = Bytes.sub_string c.buf c.pos n in
+  c.pos <- c.pos + n;
+  s
+
 let r_list r c =
   let n = r_u32 c in
   if n > c.stop - c.pos then raise (Decode "list longer than frame");
@@ -626,7 +634,7 @@ let r_opt r c =
 
 let r_peer_schema c =
   let ps_version = r_u8 c in
-  let ps_hash = Bytes.to_string (r_bytes c) in
+  let ps_hash = r_string c in
   { ps_version; ps_hash }
 
 let r_request ~v c =
@@ -636,7 +644,7 @@ let r_request ~v c =
   let rq_nature = r_nature c in
   let rq_payload = r_list r_block c in
   let rq_desc = r_desc ~v c in
-  let rq_key = if v >= 3 then Bytes.to_string (r_bytes c) else "" in
+  let rq_key = if v >= 3 then r_string c else "" in
   { rq_key; rq_client; rq_ticket; rq_op; rq_nature; rq_payload; rq_desc }
 
 let r_response ~v c =
@@ -646,7 +654,7 @@ let r_response ~v c =
   let rs_incarnation = r_int c in
   let rs_dedup = r_bool c in
   let rs_resp = r_resp c in
-  let rs_key = if v >= 3 then Bytes.to_string (r_bytes c) else "" in
+  let rs_key = if v >= 3 then r_string c else "" in
   { rs_key; rs_ticket; rs_op; rs_server; rs_incarnation; rs_dedup; rs_resp }
 
 let r_shard_stat c =
@@ -708,54 +716,23 @@ let r_msg ~v c =
       | 1 -> Incompatible_schema
       | n -> raise (Decode (Printf.sprintf "bad reject code %d" n))
     in
-    let detail = Bytes.to_string (r_bytes c) in
+    let detail = r_string c in
     Reject { rj_code = code; rj_detail = detail }
   | n -> raise (Decode (Printf.sprintf "bad message tag %d for version %d" n v))
 
-(* Cheap per-message size estimates.  Batch and persisted frames are
-   kilobytes; growing a Buffer there means repeated doublings, each a
-   major-heap allocation and full copy at these sizes, which doubles
-   encode cost on the loadgen hot path.  Slight overestimates are fine
-   — the hint only has to keep growth rare. *)
-let hint_fold f acc xs = List.fold_left (fun a x -> a + f x) acc xs
-let hint_block (blk : Block.t) = 20 + Bytes.length blk.data
-let hint_chunk (c : Chunk.t) = 16 + hint_block c.block
+(* Every frame is built in one per-domain scratch buffer and copied out
+   once at its exact size.  Batch and persisted frames are kilobytes,
+   above the minor heap's object limit: a fresh buffer per frame is
+   malloc'd, grown by repeated doublings and freed again every major
+   cycle.  The scratch buffer keeps the capacity of the largest frame
+   its domain has built, so a stream of frames allocates only the
+   frames it returns. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
-let hint_objstate (st : Objstate.t) =
-  hint_fold hint_chunk (hint_fold hint_chunk 24 st.vp) st.vf
-
-let hint_desc (d : D.t) =
-  match d with
-  | D.Snapshot -> 1
-  | D.Abd_store c | D.Lww_store c | D.Safe_update c -> 1 + hint_chunk c
-  | D.Adaptive_update { piece; replica_pieces; _ } ->
-    60 + hint_fold hint_block (hint_block piece) replica_pieces
-  | D.Adaptive_gc { piece; _ } -> 20 + hint_block piece
-  | D.Rateless_update { pieces; _ } | D.Rateless_gc { pieces; _ } ->
-    40 + hint_fold hint_block 0 pieces
-  | D.Rw_write { chunks; _ } -> 24 + hint_fold hint_chunk 0 chunks
-
-let hint_resp = function D.Ack -> 1 | D.Snap st -> 1 + hint_objstate st
-
-let hint_request (r : request) =
-  48 + String.length r.rq_key
-  + hint_fold hint_block (hint_desc r.rq_desc) r.rq_payload
-
-let hint_response (r : response) =
-  48 + String.length r.rs_key + hint_resp r.rs_resp
-
-let hint_msg = function
-  | Request r -> 16 + hint_request r
-  | Response r -> 16 + hint_response r
-  | Req_batch reqs -> hint_fold hint_request 16 reqs
-  | Resp_batch resps -> hint_fold hint_response 16 resps
-  | Hello _ | Welcome _ | Stats_query | Stats _ | Reject _ -> 512
-
-let frame_body ~hint ~v w_payload payload =
-  (* Length prefix written as a placeholder and patched after the body,
-     so the whole frame is built in one right-sized buffer with one
-     final copy. *)
-  let b = Buffer.create (hint payload + 8) in
+let frame_body ~v w_payload payload =
+  (* Length prefix written as a placeholder and patched in the copy. *)
+  let b = Domain.DLS.get scratch in
+  Buffer.clear b;
   w_u32 b 0;
   w_u8 b v;
   w_payload b payload;
@@ -783,7 +760,7 @@ let decode_body ?(max_version = version) r_payload buf =
        decode failure for wire data, never a crash. *)
     Error ("invalid value in frame: " ^ e)
 
-let encode_msg ?version:(v = version) m = frame_body ~hint:hint_msg ~v (w_msg ~v) m
+let encode_msg ?version:(v = version) m = frame_body ~v (w_msg ~v) m
 let decode_msg ?max_version buf =
   decode_body ?max_version (fun v c -> r_msg ~v c) buf
 
@@ -808,7 +785,7 @@ let w_persisted ~v b { p_incarnation; p_state; p_keyed } =
   if v >= 3 then w_list w_keyed_state b p_keyed
 
 let r_keyed_state c =
-  let key = Bytes.to_string (r_bytes c) in
+  let key = r_string c in
   let st = r_objstate c in
   (key, st)
 
@@ -822,14 +799,8 @@ let r_persisted ~v c =
     { p_incarnation; p_state; p_keyed }
   | n -> raise (Decode (Printf.sprintf "bad state tag %d" n))
 
-let hint_persisted { p_state; p_keyed; _ } =
-  hint_fold
-    (fun (key, st) -> 8 + String.length key + hint_objstate st)
-    (32 + hint_objstate p_state)
-    p_keyed
-
 let encode_persisted ?version:(v = version) p =
-  frame_body ~hint:hint_persisted ~v (w_persisted ~v) p
+  frame_body ~v (w_persisted ~v) p
 let decode_persisted ?max_version buf =
   decode_body ?max_version (fun v c -> r_persisted ~v c) buf
 
