@@ -201,11 +201,12 @@ let r_bytes c =
   c.pos <- c.pos + n;
   s
 
-(* The read side of [w_string]: one copy, straight into the string. *)
+(* The read side of [w_string]: one copy, straight into the string.
+   The empty key, the single register's, is shared, not allocated. *)
 let r_string c =
   let n = r_u32 c in
   need c n;
-  let s = Bytes.sub_string c.buf c.pos n in
+  let s = if n = 0 then "" else Bytes.sub_string c.buf c.pos n in
   c.pos <- c.pos + n;
   s
 
