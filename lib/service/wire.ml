@@ -727,7 +727,8 @@ let r_msg ~v c =
    malloc'd, grown by repeated doublings and freed again every major
    cycle.  The scratch buffer keeps the capacity of the largest frame
    its domain has built, so a stream of frames allocates only the
-   frames it returns. *)
+   frames it returns.  One buffer per domain suffices: nothing here
+   runs systhreads, and no writer encodes a frame inside a frame. *)
 let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
 let frame_body ~v w_payload payload =
