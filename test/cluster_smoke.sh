@@ -311,7 +311,8 @@ echo "== sharded chaos phase passed"
 # a single core only records.  On today's hardware the single loadgen
 # process is the bottleneck, not the daemon (2 vCPUs: 9,391 ops/s on
 # one domain, 9,117 on two), so this gate is expected to fail until
-# loadgen gains clients that scale with the cores (ROADMAP 1d, 1a).
+# loadgen gains clients that scale with the cores, such as several
+# load processes on disjoint keys.
 # ---------------------------------------------------------------------
 CORES=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 echo "== multicore phase: single-process fleet, $CORES core(s)"
