@@ -26,72 +26,17 @@ open Cmdliner
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type algo_kind =
-  | Adaptive
-  | Pure_ec
-  | Abd
-  | Abd_atomic
-  | Abd_broken
-  | Abd_misdeclared
-  | Premature_gc
-  | Safe
-  | Versioned of int
-  | Rateless
-  | Rw_regular
-  | Rw_fcopy
-  | Rw_safe
-  | Byz_reg of int
+module Catalog = Sb_experiments.Catalog
 
 let algo_conv =
-  let parse s =
-    match s with
-    | "adaptive" -> Ok Adaptive
-    | "pure-ec" -> Ok Pure_ec
-    | "abd" | "replication" -> Ok Abd
-    | "abd-atomic" -> Ok Abd_atomic
-    | "abd-broken" -> Ok Abd_broken
-    | "abd-misdeclared" -> Ok Abd_misdeclared
-    | "premature-gc" -> Ok Premature_gc
-    | "safe" -> Ok Safe
-    | "rateless" -> Ok Rateless
-    | "rw-regular" -> Ok Rw_regular
-    | "rw-fcopy" -> Ok Rw_fcopy
-    | "rw-safe" -> Ok Rw_safe
-    | "byz-regular" -> Ok (Byz_reg 1)
-    | _ -> (
-      match String.split_on_char ':' s with
-      | [ "versioned"; d ] -> (
-        match int_of_string_opt d with
-        | Some d when d >= 0 -> Ok (Versioned d)
-        | _ -> Error (`Msg "versioned:<delta> needs a non-negative integer"))
-      | [ "byz-regular"; b ] -> (
-        match int_of_string_opt b with
-        | Some b when b >= 0 -> Ok (Byz_reg b)
-        | _ -> Error (`Msg "byz-regular:<b> needs a non-negative integer"))
-      | _ -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s)))
-  in
-  let print ppf = function
-    | Adaptive -> Format.fprintf ppf "adaptive"
-    | Pure_ec -> Format.fprintf ppf "pure-ec"
-    | Abd -> Format.fprintf ppf "abd"
-    | Abd_atomic -> Format.fprintf ppf "abd-atomic"
-    | Abd_broken -> Format.fprintf ppf "abd-broken"
-    | Abd_misdeclared -> Format.fprintf ppf "abd-misdeclared"
-    | Premature_gc -> Format.fprintf ppf "premature-gc"
-    | Safe -> Format.fprintf ppf "safe"
-    | Versioned d -> Format.fprintf ppf "versioned:%d" d
-    | Rateless -> Format.fprintf ppf "rateless"
-    | Rw_regular -> Format.fprintf ppf "rw-regular"
-    | Rw_fcopy -> Format.fprintf ppf "rw-fcopy"
-    | Rw_safe -> Format.fprintf ppf "rw-safe"
-    | Byz_reg b -> Format.fprintf ppf "byz-regular:%d" b
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Catalog.of_string s) in
+  let print ppf a = Format.pp_print_string ppf (Catalog.to_string a) in
   Arg.conv (parse, print)
 
 let algo_arg =
   Arg.(
     value
-    & opt algo_conv Adaptive
+    & opt algo_conv Catalog.Adaptive
     & info [ "a"; "algorithm" ] ~docv:"ALGO"
         ~doc:"Register emulation: adaptive, pure-ec, abd (replication), \
               abd-atomic, safe, versioned:<delta>, rateless; base-object \
@@ -114,114 +59,21 @@ let k_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
 
-let build ?(rw_writers = 1) ~algo ~value_bytes ~f ~k () =
-  match algo with
-  | Abd | Abd_atomic | Abd_broken | Abd_misdeclared ->
-    let n = (2 * f) + 1 in
-    let cfg =
-      { Sb_registers.Common.n; f;
-        codec = Sb_codec.Codec.replication ~value_bytes ~n }
-    in
-    let make =
-      match algo with
-      | Abd -> Sb_registers.Abd.make
-      | Abd_atomic -> Sb_registers.Abd_atomic.make
-      | Abd_misdeclared -> Sb_registers.Abd.make_misdeclared_merge
-      | _ -> Sb_registers.Abd.make_broken ~quorum_slack:1
-    in
-    (make cfg, cfg)
-  | Rw_regular | Rw_fcopy ->
-    (* Full replication over read/write base objects: each of the
-       [rw_writers] writers owns a group of 2f+1 cells. *)
-    let n = rw_writers * ((2 * f) + 1) in
-    let cfg =
-      { Sb_registers.Common.n; f;
-        codec = Sb_codec.Codec.replication ~value_bytes ~n }
-    in
-    let make =
-      match algo with
-      | Rw_regular -> Sb_registers.Rw_replica.make ~writers:rw_writers
-      | _ -> Sb_registers.Rw_replica.make_fcopy ~writers:rw_writers
-    in
-    (make cfg, cfg)
-  | Byz_reg b ->
-    let n = (2 * f) + (2 * b) + 1 in
-    let cfg =
-      { Sb_registers.Common.n; f;
-        codec = Sb_codec.Codec.replication ~value_bytes ~n }
-    in
-    (Sb_registers.Byz_regular.make ~budget:b cfg, cfg)
-  | _ ->
-    let n = (2 * f) + k in
-    let codec =
-      if n <= 256 then Sb_codec.Codec.rs_vandermonde ~value_bytes ~k ~n
-      else Sb_codec.Codec.rs_vandermonde16 ~value_bytes ~k ~n
-    in
-    let cfg = { Sb_registers.Common.n; f; codec } in
-    let make =
-      match algo with
-      | Adaptive -> Sb_registers.Adaptive.make
-      | Pure_ec -> Sb_registers.Adaptive.make_unbounded
-      | Safe -> Sb_registers.Safe_register.make
-      | Rw_safe -> Sb_registers.Rw_replica.make_safe
-      | Premature_gc -> Sb_registers.Adaptive.make_premature_gc
-      | Versioned delta -> Sb_registers.Adaptive.make_versioned ~delta
-      | Rateless -> fun cfg -> Sb_registers.Rateless.make ~codec_seed:7 cfg
-      | Abd | Abd_atomic | Abd_broken | Abd_misdeclared | Rw_regular
-      | Rw_fcopy | Byz_reg _ -> assert false
-    in
-    (make cfg, cfg)
-
-(* The base-object model each emulation is written against; the
-   --base-model flag can override it (e.g. to run ABD over rw objects
-   and watch the sanitizers object). *)
-let default_base_model = function
-  | Rw_regular | Rw_fcopy | Rw_safe -> Sb_baseobj.Model.Read_write
-  | Byz_reg b -> Sb_baseobj.Model.Byzantine { budget = b }
-  | _ -> Sb_baseobj.Model.Rmw
+(* A usage error found before a run starts: exit 2. *)
+let usage_check = function
+  | Ok () -> ()
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizers (Sb_sanitize)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The code dimension the monitors should reason with: the replication
-   family always runs with k = 1 regardless of the --k flag. *)
-let code_k ~algo ~k =
-  match algo with
-  | Abd | Abd_atomic | Abd_broken | Abd_misdeclared | Rw_regular | Rw_fcopy
-  | Byz_reg _ -> 1
-  | _ -> k
-
-(* Storage floor asserted by the Storage_floor sanitizer rule: full-copy
-   rw emulations must keep (f+1) live D-bit copies per writer group at
-   all times; Byzantine masking emulations keep f+1 honest copies. *)
-let storage_floor ?(rw_writers = 1) ~algo ~value_bytes ~f () =
-  let d_bits = 8 * value_bytes in
-  match algo with
-  (* The floor a correct rw emulation must keep; rw-fcopy (the seeded
-     bug) gets the same floor and is expected to trip it. *)
-  | Rw_regular | Rw_fcopy -> Some (rw_writers * (f + 1), d_bits)
-  | Byz_reg _ -> Some (f + 1, d_bits)
-  | _ -> None
-
-(* The availability (premature-GC) monitor is sound only for algorithms
-   that promise a decodable readable frontier at all times; the safe and
-   bounded-version registers transiently violate it by design. *)
-let sanitize_cfg ?byz ?rw_writers ?(value_bytes = 0) ~algo ~f ~k () =
-  let reg_avail =
-    match algo with
-    (* premature-gc is the seeded availability bug: the monitor that
-       catches it must of course be armed. *)
-    | Adaptive | Pure_ec | Abd | Abd_atomic | Premature_gc | Rw_regular
-    | Byz_reg _ -> true
-    | Abd_broken | Abd_misdeclared | Safe | Versioned _ | Rateless | Rw_fcopy
-    | Rw_safe -> false
-  in
-  let floor =
-    if value_bytes = 0 then None
-    else storage_floor ?rw_writers ~algo ~value_bytes ~f ()
-  in
-  Sb_sanitize.Monitor.config ~reg_avail ?floor ?byz ~k:(code_k ~algo ~k) ()
+let sanitize_cfg ?byz ~writers ~value_bytes ~algo ~f ~k () =
+  Sb_sanitize.Monitor.config ~reg_avail:(Catalog.reg_avail algo)
+    ?floor:(Catalog.storage_floor ~writers algo ~value_bytes ~f)
+    ?byz ~k:(Catalog.code_k algo ~k) ()
 
 let sanitize_arg =
   Arg.(
@@ -278,7 +130,7 @@ let byz_behaviour_arg =
    invocation, applying the policy-level budget gate (budget <= f). *)
 let resolve_model ?override ~algo ~f () =
   let model =
-    match override with Some m -> m | None -> default_base_model algo
+    match override with Some m -> m | None -> Catalog.base_model algo
   in
   Sb_baseobj.Model.validate ~f model;
   model
@@ -393,7 +245,7 @@ let lower_bound_cmd =
       & info [ "ell" ] ~docv:"BITS" ~doc:"Adversary threshold (default D/2).")
   in
   let run algo value_bytes f k c ell =
-    let algorithm, cfg = build ~algo ~value_bytes ~f ~k () in
+    let algorithm, cfg = Catalog.build ~writers:1 algo ~value_bytes ~f ~k in
     let r = Sb_adversary.Lower_bound.run ?ell_bits:ell ~algorithm ~cfg ~c () in
     let d = 8 * value_bytes in
     Printf.printf "algorithm        : %s\n" algorithm.Sb_sim.Runtime.name;
@@ -445,15 +297,8 @@ let simulate_cmd =
   let run algo value_bytes f k seed writers writes_each readers reads_each show_trace
       save sanitize base_model byz_behaviour =
    with_model_errors @@ fun () ->
-    (match algo with
-     | (Rw_safe | Byz_reg _) when writers > 1 ->
-       Printf.eprintf
-         "%s is a single-writer emulation; rerun with --writers 1\n"
-         (Format.asprintf "%a" (Arg.conv_printer algo_conv) algo);
-       exit 2
-     | _ -> ());
-    let rw_writers = writers in
-    let algorithm, cfg = build ~rw_writers ~algo ~value_bytes ~f ~k () in
+    usage_check (Catalog.check_writers algo ~writers);
+    let algorithm, cfg = Catalog.build ~writers algo ~value_bytes ~f ~k in
     let model = resolve_model ?override:base_model ~algo ~f () in
     let byz = byz_policy_of ~seed ~n:cfg.n ~model byz_behaviour in
     Option.iter (Sb_baseobj.Model.check_policy model ~n:cfg.n) byz;
@@ -470,7 +315,7 @@ let simulate_cmd =
         Sb_sanitize.Monitor.run
           (sanitize_cfg
              ?byz:(Option.map (fun p -> p.Sb_baseobj.Model.bp_compromised) byz)
-             ~rw_writers ~value_bytes ~algo ~f ~k ())
+             ~writers ~value_bytes ~algo ~f ~k ())
           ~mk_world
           (Sb_sim.Runtime.random_policy ~seed ())
       with
@@ -671,7 +516,9 @@ let explore_cmd =
   in
   let check_conv =
     Arg.enum
-      [ ("weak", `Weak); ("strong", `Strong); ("safe", `Safe); ("atomic", `Atomic) ]
+      (List.map
+         (fun l -> (Catalog.level_name l, l))
+         [ `Weak; `Strong; `Safe; `Atomic ])
   in
   let check_arg =
     Arg.(
@@ -702,16 +549,18 @@ let explore_cmd =
           ~doc:"On violation, save the shrunk decision trace to FILE \
                 (replayable with --replay).")
   in
-  let checker = function
-    | `Weak -> ("weak regularity", Sb_spec.Regularity.check_weak)
-    | `Strong -> ("strong regularity", Sb_spec.Regularity.check_strong)
-    | `Safe -> ("safeness", Sb_spec.Regularity.check_safe)
-    | `Atomic -> ("atomicity", fun h -> Sb_spec.Regularity.check_atomic h)
+  let checker level =
+    ( (match level with
+       | `Weak -> "weak regularity"
+       | `Strong -> "strong regularity"
+       | `Safe -> "safeness"
+       | `Atomic -> "atomicity"),
+      Catalog.checker level )
   in
   let mk_config ?base_model ?(byz_behaviour = Sb_adversary.Byz.Stale_echo)
       ~algo ~value_bytes ~f ~k ~seed ~writers ~writes_each ~readers ~reads_each
       ~crashes ~client_crashes ~bound ~dpor ~lint ~max_schedules ~check () =
-    let algorithm, cfg = build ~rw_writers:writers ~algo ~value_bytes ~f ~k () in
+    let algorithm, cfg = Catalog.build ~writers algo ~value_bytes ~f ~k in
     let model = resolve_model ?override:base_model ~algo ~f () in
     let byz = byz_policy_of ~seed ~n:cfg.n ~model byz_behaviour in
     Option.iter (Sb_baseobj.Model.check_policy model ~n:cfg.n) byz;
@@ -761,7 +610,7 @@ let explore_cmd =
   let run_replay ?base_model ?(byz_behaviour = Sb_adversary.Byz.Stale_echo)
       ~algo ~value_bytes ~f ~k ~seed ~writers ~writes_each ~readers
       ~reads_each ~check file =
-    let algorithm, cfg = build ~rw_writers:writers ~algo ~value_bytes ~f ~k () in
+    let algorithm, cfg = Catalog.build ~writers algo ~value_bytes ~f ~k in
     let model = resolve_model ?override:base_model ~algo ~f () in
     let byz = byz_policy_of ~seed ~n:cfg.n ~model byz_behaviour in
     let workload =
@@ -812,16 +661,10 @@ let explore_cmd =
        the sanitizers on, then confirm the seeded abd-broken bug is found
        and shrinks. *)
     let algo, f, k, writers, writes_each, readers, reads_each, lint, sanitize =
-      if quick then (Abd, 1, 1, 1, 1, 1, 1, true, true)
+      if quick then (Catalog.Abd, 1, 1, 1, 1, 1, 1, true, true)
       else (algo, f, k, writers, writes_each, readers, reads_each, lint, sanitize)
     in
-    (match algo with
-     | (Rw_safe | Byz_reg _) when writers > 1 ->
-       Printf.eprintf
-         "%s is a single-writer emulation; rerun with --writers 1\n"
-         (Format.asprintf "%a" (Arg.conv_printer algo_conv) algo);
-       exit 2
-     | _ -> ());
+    usage_check (Catalog.check_writers algo ~writers);
     match replay_file with
     | Some file ->
       run_replay ?base_model ~byz_behaviour ~algo ~value_bytes ~f ~k ~seed
@@ -864,7 +707,7 @@ let explore_cmd =
                 (Option.map
                    (fun p -> p.Sb_baseobj.Model.bp_compromised)
                    econfig.E.byz)
-              ~rw_writers:writers ~value_bytes ~algo ~f ~k ()
+              ~writers ~value_bytes ~algo ~f ~k ()
           in
           match Sb_sanitize.Monitor.explore_sanitized scfg econfig with
           | Ok outcome -> outcome
@@ -930,7 +773,7 @@ let explore_cmd =
         (* Second half of the CI preset: the seeded bug must be caught
            and must shrink to a short schedule. *)
         let _, _, broken =
-          mk_config ~algo:Abd_broken ~value_bytes ~f ~k ~seed ~writers:2
+          mk_config ~algo:Catalog.Abd_broken ~value_bytes ~f ~k ~seed ~writers:2
             ~writes_each:1 ~readers:1 ~reads_each:1 ~crashes ~client_crashes
             ~bound ~dpor:true ~lint:false ~max_schedules:0
             ~check:`Weak ()
@@ -1011,9 +854,7 @@ let audit_cmd =
   let run algo value_bytes f k seed writers writes_each readers reads_each
       crashes max_states mutate =
    with_model_errors @@ fun () ->
-    let algorithm, cfg =
-      build ~rw_writers:writers ~algo ~value_bytes ~f ~k ()
-    in
+    let algorithm, cfg = Catalog.build ~writers algo ~value_bytes ~f ~k in
     let model = resolve_model ~algo ~f () in
     let workload =
       Sb_experiments.Workloads.writers_and_readers ~value_bytes ~writers
@@ -1034,7 +875,7 @@ let audit_cmd =
       else None
     in
     Printf.printf "algorithm  : %s (n=%d f=%d k=%d, seed %d)%s\n"
-      algorithm.Sb_sim.Runtime.name cfg.n cfg.f (code_k ~algo ~k) seed
+      algorithm.Sb_sim.Runtime.name cfg.n cfg.f (Catalog.code_k algo ~k) seed
       (if mutate then " [mutated relation]" else "");
     let r = Sb_sanitize.Audit.audit ?relation ~max_states econfig in
     Printf.printf
@@ -1074,7 +915,7 @@ let demo_cmd =
     Arg.(value & opt int 40 & info [ "steps" ] ~docv:"N" ~doc:"Snapshots to print.")
   in
   let run algo value_bytes f k c steps =
-    let algorithm, cfg = build ~algo ~value_bytes ~f ~k () in
+    let algorithm, cfg = Catalog.build ~writers:1 algo ~value_bytes ~f ~k in
     let d = 8 * value_bytes in
     let ell = d / 2 in
     let workload =
@@ -1126,63 +967,6 @@ let demo_cmd =
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let algo_label = function
-    | Adaptive -> "adaptive"
-    | Pure_ec -> "pure-ec"
-    | Abd -> "abd"
-    | Abd_atomic -> "abd-atomic"
-    | Abd_broken -> "abd-broken"
-    | Abd_misdeclared -> "abd-misdeclared"
-    | Premature_gc -> "premature-gc"
-    | Safe -> "safe"
-    | Versioned d -> Printf.sprintf "versioned:%d" d
-    | Rateless -> "rateless"
-    | Rw_regular -> "rw-regular"
-    | Rw_fcopy -> "rw-fcopy"
-    | Rw_safe -> "rw-safe"
-    | Byz_reg b -> Printf.sprintf "byz-regular:%d" b
-  in
-  let spec_of ?(byz_behaviour = Sb_adversary.Byz.Stale_echo) ~algo ~value_bytes
-      ~f ~k () =
-    (* The default chaos workload races two writers; the rw replication
-       families then provision one cell group per writer. *)
-    let rw_writers = match algo with Rw_regular | Rw_fcopy -> 2 | _ -> 1 in
-    let _, cfg = build ~rw_writers ~algo ~value_bytes ~f ~k () in
-    let check =
-      match algo with
-      | Abd_atomic -> Sb_spec.Regularity.check_atomic ?budget:None
-      | Safe | Rw_safe -> Sb_spec.Regularity.check_safe
-      | _ -> Sb_spec.Regularity.check_strong
-    in
-    let reg_avail =
-      match algo with
-      | Adaptive | Pure_ec | Abd | Abd_atomic | Rw_regular | Byz_reg _ -> true
-      | _ -> false
-    in
-    let sp_byz =
-      match algo with
-      | Byz_reg b when b > 0 -> Some byz_behaviour
-      | _ -> None
-    in
-    let sp_workload =
-      match algo with
-      | Rw_safe | Byz_reg _ -> Some Sb_faults.Chaos.swmr_workload
-      | _ -> None
-    in
-    { Sb_faults.Chaos.sp_name = algo_label algo;
-      sp_make = (fun () -> fst (build ~rw_writers ~algo ~value_bytes ~f ~k ()));
-      sp_n = cfg.Sb_registers.Common.n;
-      sp_f = cfg.Sb_registers.Common.f;
-      sp_k = code_k ~algo ~k;
-      sp_value_bytes = value_bytes;
-      sp_reg_avail = reg_avail;
-      sp_check = check;
-      sp_base_model = default_base_model algo;
-      sp_byz;
-      sp_floor = storage_floor ~rw_writers ~algo ~value_bytes ~f ();
-      sp_workload;
-    }
-  in
   let all_arg =
     Arg.(
       value & flag
@@ -1284,26 +1068,6 @@ let chaos_cmd =
       & info [ "live-report" ] ~docv:"FILE"
           ~doc:"Where --live writes its flat-JSON campaign report.")
   in
-  let live_spec_of ~algo ~value_bytes ~f ~k =
-    let _, cfg = build ~algo ~value_bytes ~f ~k () in
-    let check =
-      match algo with
-      | Abd_atomic -> Sb_spec.Regularity.check_atomic ?budget:None
-      | Safe -> Sb_spec.Regularity.check_safe
-      | _ -> Sb_spec.Regularity.check_strong
-    in
-    {
-      Sb_faults.Live.sp_name = algo_label algo;
-      sp_make = (fun () -> fst (build ~algo ~value_bytes ~f ~k ()));
-      sp_n = cfg.Sb_registers.Common.n;
-      sp_f = cfg.Sb_registers.Common.f;
-      sp_k = code_k ~algo ~k;
-      sp_value_bytes = value_bytes;
-      sp_initial = Sb_registers.Common.initial_value cfg;
-      sp_bounds = (algo = Adaptive);
-      sp_check = check;
-    }
-  in
   let run_live ~algo ~all ~value_bytes ~f ~k ~seed ~quick ~report_file =
     let module L = Sb_faults.Live in
     let cfg =
@@ -1312,10 +1076,9 @@ let chaos_cmd =
         L.lc_base_seed = seed;
       }
     in
-    let algos = if all then [ Adaptive; Abd ] else [ algo ] in
-    let specs =
-      List.map (fun algo -> live_spec_of ~algo ~value_bytes ~f ~k) algos
-    in
+    let algos = if all then Catalog.[ Adaptive; Abd ] else [ algo ] in
+    List.iter (fun algo -> usage_check (Catalog.check_live algo)) algos;
+    let specs = List.map (fun algo -> L.spec algo ~value_bytes ~f ~k) algos in
     let cells = L.campaign cfg specs in
     Sb_util.Table.print (L.report cells);
     L.write_report report_file cells;
@@ -1352,16 +1115,18 @@ let chaos_cmd =
       }
     in
     let algos =
-      if base_models then [ Rw_regular; Rw_safe; Byz_reg 0; Byz_reg f ]
+      if base_models then Catalog.[ Rw_regular; Rw_safe; Byz_reg 0; Byz_reg f ]
       else if all then
-        [ Adaptive; Pure_ec; Abd; Abd_atomic; Safe; Versioned 1; Rateless ]
+        Catalog.
+          [ Adaptive; Pure_ec; Abd; Abd_atomic; Safe; Versioned 1; Rateless ]
       else [ algo ]
     in
     List.iter
-      (fun algo -> Sb_baseobj.Model.validate ~f (default_base_model algo))
+      (fun algo -> Sb_baseobj.Model.validate ~f (Catalog.base_model algo))
       algos;
     let specs =
-      List.map (fun algo -> spec_of ~byz_behaviour ~algo ~value_bytes ~f ~k ())
+      List.map
+        (fun algo -> C.catalog_spec ~byz_behaviour algo ~value_bytes ~f ~k)
         algos
     in
     let cells = C.campaign cfg specs in
@@ -1494,7 +1259,8 @@ let serve_cmd =
   in
   let run algo value_bytes f k sockdir statedir cluster server no_dedup
       wire_version crash_at shards domains =
-    let algorithm, cfg = build ~algo ~value_bytes ~f ~k () in
+    usage_check (Catalog.check_live algo);
+    let algorithm, cfg = Catalog.build ~writers:1 algo ~value_bytes ~f ~k in
     let servers =
       match (cluster, server) with
       | _, None -> List.init cfg.Sb_registers.Common.n Fun.id
@@ -1624,14 +1390,6 @@ let loadgen_cmd =
           ~doc:"Closed-loop pacing: delay before each client's next \
                 operation (lets a run span fault-injection windows).")
   in
-  let no_bounds_arg =
-    Arg.(
-      value & flag
-      & info [ "no-bound-check" ]
-          ~doc:"Skip the Theorem 2 ceiling / GC floor assertions (they only \
-                apply to the adaptive algorithm and are skipped automatically \
-                for the others).")
-  in
   let open_loop_arg =
     Arg.(
       value & flag
@@ -1704,17 +1462,13 @@ let loadgen_cmd =
                 within 1.25x, plus the baseline's hard \
                 gate_min_throughput_ops_s / gate_max_p99_ms floors.")
   in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n /. 100.0)) - 1)))
-  in
   let run algo value_bytes f k seed writers writes_each readers reads_each
       sockdir rto max_attempts sample_ms deadline_ms settle_ms think_ms json
-      no_bounds open_loop rate duration_ms keys key_dist write_ratio
-      max_inflight batch flush_ms check =
-    let algorithm, cfg = build ~algo ~value_bytes ~f ~k () in
+      open_loop rate duration_ms keys key_dist write_ratio max_inflight batch
+      flush_ms check =
+    let module Check = Sb_faults.Livecheck in
+    usage_check (Catalog.check_live algo);
+    let algorithm, cfg = Catalog.build ~writers:1 algo ~value_bytes ~f ~k in
     let n = cfg.Sb_registers.Common.n in
     let batch = if batch >= 1 then batch else if open_loop then 16 else 1 in
     let zipf =
@@ -1768,6 +1522,11 @@ let loadgen_cmd =
     in
     let failures = ref [] in
     let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+    let judge (v : Check.verdict) =
+      Printf.printf "%-16s: %s  %s\n" v.label v.detail
+        (if v.ok then "ok" else "EXCEEDED");
+      if not v.ok then fail "%s" v.failure
+    in
     Printf.printf "loadgen         : %s (n=%d f=%d k=%d, seed %d) against %s\n"
       algorithm.Sb_sim.Runtime.name n f k seed sockdir;
     if open_loop then
@@ -1786,14 +1545,9 @@ let loadgen_cmd =
     if r.Sb_service.Sdk.ops_completed < r.Sb_service.Sdk.ops_invoked then
       fail "%d operations did not complete"
         (r.Sb_service.Sdk.ops_invoked - r.Sb_service.Sdk.ops_completed);
-    let lat = Array.of_list r.Sb_service.Sdk.latencies_ms in
-    Array.sort compare lat;
-    let p50 = percentile lat 50.0
-    and p95 = percentile lat 95.0
-    and p99 = percentile lat 99.0 in
-    let pmax = if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1) in
+    let lat = Check.latency r.Sb_service.Sdk.latencies_ms in
     Printf.printf "latency (ms)    : p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n"
-      p50 p95 p99 pmax;
+      lat.p50 lat.p95 lat.p99 lat.max;
     Printf.printf "network         : %d retransmissions, %d reconnects, %d \
                    recoveries observed\n"
       r.Sb_service.Sdk.retransmissions r.Sb_service.Sdk.reconnects
@@ -1819,150 +1573,53 @@ let loadgen_cmd =
         []
       end
       else begin
-        let history =
-          Sb_spec.History.of_trace
-            ~initial:(Sb_registers.Common.initial_value cfg)
-            r.Sb_service.Sdk.trace
+        let reg =
+          Check.regularity algo
+            (Sb_spec.History.of_trace
+               ~initial:(Sb_registers.Common.initial_value cfg)
+               r.Sb_service.Sdk.trace)
         in
-        let weak = Sb_spec.Regularity.check_weak history in
-        let algo_check, algo_check_name =
-          match algo with
-          | Abd_atomic -> (Sb_spec.Regularity.check_atomic ?budget:None, "atomic")
-          | Safe -> (Sb_spec.Regularity.check_safe, "safe")
-          | _ -> (Sb_spec.Regularity.check_strong, "strong")
-        in
-        let algo_verdict = algo_check history in
-        Format.printf "weak regularity : %a@." Sb_spec.Regularity.pp_verdict weak;
-        Format.printf "%-16s: %a@."
-          (Printf.sprintf "%s reg." algo_check_name)
-          Sb_spec.Regularity.pp_verdict algo_verdict;
-        (match weak with
-         | Sb_spec.Regularity.Ok -> ()
-         | _ -> fail "weak regularity violated");
-        (match algo_verdict with
-         | Sb_spec.Regularity.Ok -> ()
-         | _ -> fail "%s regularity violated" algo_check_name);
-        let ok = function
-          | Sb_spec.Regularity.Ok -> Sb_util.Jsonx.bool true
-          | Sb_spec.Regularity.Violation _ -> Sb_util.Jsonx.bool false
-        in
-        [ ("weak_ok", ok weak); ("algo_check_ok", ok algo_verdict) ]
+        Format.printf "weak regularity : %a@." Sb_spec.Regularity.pp_verdict
+          reg.weak;
+        Format.printf "%-16s: %a@." (reg.level_name ^ " reg.")
+          Sb_spec.Regularity.pp_verdict reg.level;
+        let weak_ok = Sb_spec.Regularity.ok reg.weak
+        and level_ok = Sb_spec.Regularity.ok reg.level in
+        if not weak_ok then fail "weak regularity violated";
+        if not level_ok then fail "%s regularity violated" reg.level_name;
+        [ ("weak_ok", Sb_util.Jsonx.bool weak_ok);
+          ("algo_check_ok", Sb_util.Jsonx.bool level_ok) ]
       end
     in
-    (* Storage vs the paper's bounds.  Peak: the larger of the sampled
-       total and the sum of per-server high-water marks (each is a
-       conservative under-approximation of the true continuous peak
-       taken independently; their max is still a measured lower bound,
-       compared against the Theorem 2 ceiling). *)
-    let kk = code_k ~algo ~k in
-    let m = (2 * f) + kk in
-    let d_bits = 8 * value_bytes in
+    (* Storage vs the paper's bounds (Sb_faults.Livecheck). *)
+    let kk = Catalog.code_k algo ~k in
     let c = if open_loop then max_inflight else writers in
-    let ceiling_bits = min ((c + 1) * m) (m * m) * d_bits / kk in
-    let floor_bits = m * d_bits / kk in
-    (* Every shard carries the legacy "" register's base state, so the
-       fleet-wide live-object count is keys + one per shard (a plain
-       unsharded daemon reports no shard stats and counts as one). *)
-    let shard_count =
-      List.fold_left
-        (fun acc (st : Sb_service.Wire.stats) ->
-          max acc (List.length st.Sb_service.Wire.st_shards))
-        1 r.Sb_service.Sdk.final_stats
+    let bounds = Check.bounds ~f ~k:kk ~c ~d_bits:(8 * value_bytes) in
+    let final_stats = r.Sb_service.Sdk.final_stats in
+    let nkeys = if open_loop then Check.fleet_keys ~keys final_stats else 1 in
+    let fleet = Check.fleet bounds ~keys:nkeys in
+    let per_key_peak_bits = Check.per_key_peak_bits final_stats in
+    let sum_max_bits = Check.sum_max_bits final_stats in
+    let peak_bits =
+      Check.peak_bits ~sampled:r.Sb_service.Sdk.peak_sampled_bits final_stats
     in
-    let nkeys = if open_loop then keys + shard_count else 1 in
-    let fleet_ceiling_bits = nkeys * ceiling_bits in
-    let fleet_floor_bits = nkeys * floor_bits in
-    (* Per-key footprint: on each server, no single key can hold more
-       than the largest per-key high-water mark of any shard; summing
-       that over servers bounds any one key's fleet-wide peak. *)
-    let per_key_peak_bits =
-      List.fold_left
-        (fun acc (st : Sb_service.Wire.stats) ->
-          acc
-          +
-          match st.Sb_service.Wire.st_shards with
-          | [] -> st.Sb_service.Wire.st_max_bits
-          | shards ->
-            List.fold_left
-              (fun a (ss : Sb_service.Wire.shard_stat) ->
-                max a ss.Sb_service.Wire.ss_max_key_bits)
-              0 shards)
-        0 r.Sb_service.Sdk.final_stats
-    in
-    let sum_max_bits =
-      List.fold_left
-        (fun acc (st : Sb_service.Wire.stats) -> acc + st.Sb_service.Wire.st_max_bits)
-        0 r.Sb_service.Sdk.final_stats
-    in
-    let peak_bits = max r.Sb_service.Sdk.peak_sampled_bits sum_max_bits in
     if settle_ms > 0 then Unix.sleepf (float_of_int settle_ms /. 1000.0);
     let quiescent_stats =
       Sb_service.Sdk.fetch_stats ~sockdir ~servers:(List.init n Fun.id) ()
     in
-    let final_bits =
-      List.fold_left
-        (fun acc (st : Sb_service.Wire.stats) ->
-          acc + st.Sb_service.Wire.st_storage_bits)
-        0 quiescent_stats
-    in
+    let final_bits = Check.quiescent_bits quiescent_stats in
     Printf.printf "storage (bits)  : peak %d (sampled %d, sum of maxima %d), \
                    quiescent %d\n"
       peak_bits r.Sb_service.Sdk.peak_sampled_bits sum_max_bits final_bits;
-    let check_bounds = (not no_bounds) && algo = Adaptive in
-    if check_bounds then
-      if open_loop then begin
-        Printf.printf
-          "theorem 2 (key) : per-key peak %d <= \
-           min((c+1)(2f+k),(2f+k)^2)D/k = %d  %s\n"
-          per_key_peak_bits ceiling_bits
-          (if per_key_peak_bits <= ceiling_bits then "ok" else "EXCEEDED");
-        Printf.printf "theorem 2 (all) : peak %d <= %d keys x ceiling = %d  %s\n"
-          peak_bits nkeys fleet_ceiling_bits
-          (if peak_bits <= fleet_ceiling_bits then "ok" else "EXCEEDED");
-        (* The floor is the paper's lower bound: live objects cannot
-           cost less than m D/k each.  What quiescence asserts about
-           the implementation is that GC returns close to it — within
-           2x fleet-wide, i.e. on average at most one stale generation
-           per key.  (Exactly the floor is typical but not guaranteed:
-           a key whose last operation raced a crash or another writer
-           legitimately retains one extra generation until its next
-           operation.)  test_kv asserts the exact floor under a
-           deterministic keyed workload. *)
-        Printf.printf
-          "gc floor (all)  : quiescent %d vs %d keys x (2f+k)D/k = %d \
-           (%.3fx, budget <= 2x)  %s\n"
-          final_bits nkeys fleet_floor_bits
-          (float_of_int final_bits /. float_of_int (max 1 fleet_floor_bits))
-          (if final_bits <= 2 * fleet_floor_bits then "ok" else "EXCEEDED");
-        if per_key_peak_bits > ceiling_bits then
-          fail "per-key peak storage %d exceeds Theorem 2 ceiling %d"
-            per_key_peak_bits ceiling_bits;
-        if peak_bits > fleet_ceiling_bits then
-          fail "fleet peak storage %d exceeds %d-key ceiling %d" peak_bits
-            nkeys fleet_ceiling_bits;
-        if final_bits > 2 * fleet_floor_bits then
-          fail "fleet quiescent storage %d exceeds 2x the %d-key GC floor %d"
-            final_bits nkeys fleet_floor_bits
-      end
-      else begin
-        Printf.printf
-          "theorem 2       : peak %d <= ceiling min((c+1)(2f+k),(2f+k)^2)D/k = \
-           %d  %s\n"
-          peak_bits ceiling_bits
-          (if peak_bits <= ceiling_bits then "ok" else "EXCEEDED");
-        Printf.printf "gc floor        : quiescent %d <= (2f+k)D/k = %d  %s\n"
-          final_bits floor_bits
-          (if final_bits <= floor_bits then "ok" else "EXCEEDED");
-        if peak_bits > ceiling_bits then
-          fail "peak storage %d exceeds Theorem 2 ceiling %d" peak_bits
-            ceiling_bits;
-        if final_bits > floor_bits then
-          fail "quiescent storage %d exceeds GC floor %d" final_bits floor_bits
-      end
-    else
-      Printf.printf
-        "bounds          : skipped (%s)\n"
-        (if no_bounds then "--no-bound-check" else "not the adaptive algorithm");
+    if Catalog.bounded algo then
+      List.iter judge
+        (if open_loop then
+           Check.open_verdicts bounds ~keys:nkeys
+             ~per_key_peak:per_key_peak_bits ~peak:peak_bits
+             ~quiescent:final_bits
+         else
+           Check.closed_verdicts bounds ~peak:peak_bits ~quiescent:final_bits)
+    else print_endline "bounds          : skipped (not the adaptive algorithm)";
     (if List.length quiescent_stats < n then
        fail "only %d/%d servers answered the quiescent stats round"
          (List.length quiescent_stats)
@@ -1984,18 +1641,18 @@ let loadgen_cmd =
          ("throughput_ops_s", Sb_util.Jsonx.float throughput);
          ( "ms_per_op",
            Sb_util.Jsonx.float (1000.0 /. Float.max 1e-9 throughput) );
-         ("p50_ms", Sb_util.Jsonx.float p50);
-         ("p95_ms", Sb_util.Jsonx.float p95);
-         ("p99_ms", Sb_util.Jsonx.float p99);
-         ("max_ms", Sb_util.Jsonx.float pmax);
+         ("p50_ms", Sb_util.Jsonx.float lat.p50);
+         ("p95_ms", Sb_util.Jsonx.float lat.p95);
+         ("p99_ms", Sb_util.Jsonx.float lat.p99);
+         ("max_ms", Sb_util.Jsonx.float lat.max);
          ("batch", Sb_util.Jsonx.int batch);
          ("flush_ms", Sb_util.Jsonx.int flush_ms);
          ("batches_sent", Sb_util.Jsonx.int r.Sb_service.Sdk.batches_sent);
          ("frames_sent", Sb_util.Jsonx.int r.Sb_service.Sdk.frames_sent);
          ("peak_bits", Sb_util.Jsonx.int peak_bits);
-         ("ceiling_bits", Sb_util.Jsonx.int ceiling_bits);
+         ("ceiling_bits", Sb_util.Jsonx.int bounds.ceiling_bits);
          ("quiescent_bits", Sb_util.Jsonx.int final_bits);
-         ("floor_bits", Sb_util.Jsonx.int floor_bits);
+         ("floor_bits", Sb_util.Jsonx.int bounds.floor_bits);
          ("retransmissions", Sb_util.Jsonx.int r.Sb_service.Sdk.retransmissions);
          ("reconnects", Sb_util.Jsonx.int r.Sb_service.Sdk.reconnects);
          ("recoveries", Sb_util.Jsonx.int r.Sb_service.Sdk.recoveries_observed);
@@ -2013,9 +1670,9 @@ let loadgen_cmd =
              ("write_ratio", Sb_util.Jsonx.float write_ratio);
              ("max_inflight", Sb_util.Jsonx.int max_inflight);
              ("per_key_peak_bits", Sb_util.Jsonx.int per_key_peak_bits);
-             ("per_key_ceiling_bits", Sb_util.Jsonx.int ceiling_bits);
-             ("fleet_ceiling_bits", Sb_util.Jsonx.int fleet_ceiling_bits);
-             ("fleet_floor_bits", Sb_util.Jsonx.int fleet_floor_bits);
+             ("per_key_ceiling_bits", Sb_util.Jsonx.int bounds.ceiling_bits);
+             ("fleet_ceiling_bits", Sb_util.Jsonx.int fleet.ceiling_bits);
+             ("fleet_floor_bits", Sb_util.Jsonx.int fleet.floor_bits);
              ("gate_min_throughput_ops_s", Sb_util.Jsonx.float 900.0);
              ("gate_max_p99_ms", Sb_util.Jsonx.float 50.0);
            ]
@@ -2025,27 +1682,11 @@ let loadgen_cmd =
        let baseline =
          Filename.concat "bench/baselines" (Filename.basename json)
        in
-       if
-         not
-           (Sb_util.Jsonx.check ~current:json ~baseline
-              ~keys:[ "ms_per_op"; "p99_ms" ] ())
-       then fail "regression against baseline %s" baseline;
-       if Sys.file_exists baseline then begin
-         (match Sb_util.Jsonx.field baseline "gate_min_throughput_ops_s" with
-          | Some g when throughput < g ->
-            fail "throughput %.1f ops/s below baseline gate %.1f" throughput g
-          | Some g ->
-            Printf.printf
-              "gate            : throughput %.1f >= %.1f ops/s  ok\n"
-              throughput g
-          | None -> ());
-         match Sb_util.Jsonx.field baseline "gate_max_p99_ms" with
-         | Some g when p99 > g ->
-           fail "p99 %.2f ms above baseline gate %.2f ms" p99 g
-         | Some g ->
-           Printf.printf "gate            : p99 %.2f <= %.2f ms  ok\n" p99 g
-         | None -> ()
-       end
+       let within, gates =
+         Check.baseline_gate ~current:json ~baseline ~throughput ~p99:lat.p99
+       in
+       if not within then fail "regression against baseline %s" baseline;
+       List.iter judge gates
      end);
     let ok = !failures = [] in
     if not ok then begin
@@ -2068,9 +1709,9 @@ let loadgen_cmd =
       const run $ algo_arg $ value_bytes_arg $ serve_f_arg $ serve_k_arg
       $ seed_arg $ writers_arg $ writes_each_arg $ readers_arg
       $ reads_each_arg $ sockdir_arg $ rto_arg $ max_attempts_arg $ sample_arg
-      $ deadline_arg $ settle_arg $ think_arg $ json_arg $ no_bounds_arg
-      $ open_loop_arg $ rate_arg $ duration_arg $ keys_arg $ key_dist_arg
-      $ write_ratio_arg $ max_inflight_arg $ batch_arg $ flush_arg $ check_arg)
+      $ deadline_arg $ settle_arg $ think_arg $ json_arg $ open_loop_arg
+      $ rate_arg $ duration_arg $ keys_arg $ key_dist_arg $ write_ratio_arg
+      $ max_inflight_arg $ batch_arg $ flush_arg $ check_arg)
 
 (* ------------------------------------------------------------------ *)
 (* schema — dump the wire schema, certify cross-version compatibility  *)

@@ -11,14 +11,6 @@ type outcome = {
 
 let default_value_bytes = 64
 
-let rs ~value_bytes ~k ~n =
-  if n <= 256 then Codec.rs_vandermonde ~value_bytes ~k ~n
-  else Codec.rs_vandermonde16 ~value_bytes ~k ~n
-
-let coded_cfg ~value_bytes ~f ~k =
-  let n = (2 * f) + k in
-  { Sb_registers.Common.n; f; codec = rs ~value_bytes ~k ~n }
-
 let abd_cfg ~value_bytes ~f =
   let n = (2 * f) + 1 in
   { Sb_registers.Common.n; f; codec = Codec.replication ~value_bytes ~n }
@@ -30,8 +22,6 @@ let branch_name = function
   | Sb_adversary.Lower_bound.Saturated_writes -> "saturated"
   | Sb_adversary.Lower_bound.Exhausted -> "exhausted"
 
-let verdict_ok = function Sb_spec.Regularity.Ok -> true | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* E1: Theorem 1, storage grows linearly with concurrency              *)
 (* ------------------------------------------------------------------ *)
@@ -39,7 +29,7 @@ let verdict_ok = function Sb_spec.Regularity.Ok -> true | _ -> false
 let e1_concurrency_blowup ?(value_bytes = default_value_bytes) ?(f = 8)
     ?(cs = [ 1; 2; 3; 4; 6; 8 ]) () =
   let k = f in
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let table =
     Table.create
@@ -101,8 +91,8 @@ let e2_freeze_branch ?(value_bytes = default_value_bytes) ?(f = 4) () =
     [
       ("abd-replication", Sb_registers.Abd.make (abd_cfg ~value_bytes ~f), abd_cfg ~value_bytes ~f);
       ( "adaptive(k=2)",
-        Sb_registers.Adaptive.make (coded_cfg ~value_bytes ~f ~k:2),
-        coded_cfg ~value_bytes ~f ~k:2 );
+        Sb_registers.Adaptive.make (Catalog.coded_cfg ~value_bytes ~f ~k:2),
+        Catalog.coded_cfg ~value_bytes ~f ~k:2 );
     ]
   in
   let table =
@@ -166,7 +156,7 @@ let quiescent_bound_bits (cfg : Sb_registers.Common.config) =
 
 let e3_adaptive_bound ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
     ?(cs = [ 1; 2; 3; 4; 6; 8 ]) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let table =
     Table.create ~title:"E3  Adaptive algorithm: measured storage vs Theorem 2 bound"
@@ -186,7 +176,9 @@ let e3_adaptive_bound ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
         let ms = Runs.measure_many ~algorithm:algo ~cfg ~workload () in
         let m = Runs.worst ms in
         let bound = adaptive_bound_bits ~cfg ~c in
-        let all_strong = List.for_all (fun m -> verdict_ok m.Runs.strong) ms in
+        let all_strong =
+          List.for_all (fun m -> Sb_spec.Regularity.ok m.Runs.strong) ms
+        in
         Table.add_row table
           [
             string_of_int c; string_of_int m.Runs.max_obj_bits; string_of_int bound;
@@ -220,7 +212,7 @@ let e3_adaptive_bound ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
 
 let e4_eventual_gc ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
     ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let quiescent_bound = quiescent_bound_bits cfg in
   let algo = Sb_registers.Adaptive.make cfg in
@@ -268,7 +260,7 @@ let e4_eventual_gc ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
 let e5_crossover ?(value_bytes = default_value_bytes) ?(f = 4)
     ?(cs = [ 1; 2; 4; 6; 8; 12 ]) () =
   let k = f in
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let cfg_abd = abd_cfg ~value_bytes ~f in
   let d = d_bits ~value_bytes in
   let table =
@@ -351,7 +343,7 @@ let e6_f_sweep ?(value_bytes = default_value_bytes) ?(c = 3) ?(fs = [ 1; 2; 4; 6
     List.map
       (fun f ->
         let k = max f 1 in
-        let cfg = coded_cfg ~value_bytes ~f ~k in
+        let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
         let cfg_abd = abd_cfg ~value_bytes ~f in
         let workload = Workloads.writers_only ~value_bytes ~c ~writes_each:2 in
         let abd =
@@ -409,7 +401,7 @@ let e7_k_ablation ?(value_bytes = default_value_bytes) ?(f = 4) ?(c = 4)
   let rows =
     List.map
       (fun k ->
-        let cfg = coded_cfg ~value_bytes ~f ~k in
+        let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
         let workload = Workloads.writers_only ~value_bytes ~c ~writes_each:2 in
         let m =
           Runs.worst
@@ -445,7 +437,7 @@ let e7_k_ablation ?(value_bytes = default_value_bytes) ?(f = 4) ?(c = 4)
 
 let e8_safe_constant ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
     ?(cs = [ 1; 2; 4; 8; 16 ]) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let expected = quiescent_bound_bits cfg in
   let algo = Sb_registers.Safe_register.make cfg in
@@ -494,7 +486,7 @@ let e8_safe_constant ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
 
 let e9_read_rounds ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
     ?(writers = [ 1; 2; 4; 8 ]) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let algo = Sb_registers.Adaptive.make cfg in
   let table =
     Table.create ~title:"E9  FW-termination: read rounds vs concurrent writers"
@@ -548,7 +540,7 @@ let e9_read_rounds ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
 
 let e10_liveness_under_ad ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
     ?(c = 4) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let cfg_abd = abd_cfg ~value_bytes ~f in
   let algos =
     [
@@ -610,7 +602,7 @@ let e10_liveness_under_ad ?(value_bytes = default_value_bytes) ?(f = 4) ?(k = 4)
 
 let e11_channel_storage ?(value_bytes = default_value_bytes) ?(f = 3) ?(k = 3)
     ?(readers = [ 0; 2; 4; 8 ]) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let algo = Sb_registers.Adaptive.make cfg in
   let module MP = Sb_msgnet.Mp_runtime in
   let table =
@@ -678,7 +670,7 @@ let e11_channel_storage ?(value_bytes = default_value_bytes) ?(f = 3) ?(k = 3)
 
 let e12_adversary_ablation ?(value_bytes = default_value_bytes) ?(f = 6) ?(c = 6) () =
   let k = f in
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let algo () = Sb_registers.Adaptive.make_unbounded cfg in
   let workload =
@@ -824,7 +816,7 @@ let premature_gc_schedule ~value_bytes algo cfg =
 let e13_premature_gc ?(value_bytes = default_value_bytes) ?(f = 2) ?(k = 2) () =
   if f <> 2 || k <> 2 then
     invalid_arg "e13_premature_gc: the crafted schedule needs f = k = 2";
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let algos =
     [
       ("pure-ec (correct barrier)", Sb_registers.Adaptive.make_unbounded cfg, true);
@@ -855,7 +847,7 @@ let e13_premature_gc ?(value_bytes = default_value_bytes) ?(f = 2) ?(k = 2) () =
         in
         Table.add_row table
           [ name; shown; Format.asprintf "%a" Sb_spec.Regularity.pp_verdict verdict ];
-        (expect_ok, verdict_ok verdict))
+        (expect_ok, Sb_spec.Regularity.ok verdict))
       algos
   in
   let ok = List.for_all (fun (expect_ok, got_ok) -> expect_ok = got_ok) rows in
@@ -906,7 +898,7 @@ let e14_run ~(cfg : Sb_registers.Common.config) ~values () =
 let e14_indistinguishability ?(value_bytes = default_value_bytes) ?(f = 8) ?(c = 3) () =
   let module R = Sb_sim.Runtime in
   let k = f in
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let values = Array.init c (fun i -> Workloads.distinct_value ~value_bytes i) in
   let base_world = e14_run ~cfg ~values () in
@@ -1008,7 +1000,7 @@ let e14_indistinguishability ?(value_bytes = default_value_bytes) ?(f = 8) ?(c =
 
 let e15_version_bound ?(value_bytes = default_value_bytes) ?(f = 2) ?(k = 8) ?(c = 10)
     ?(deltas = [ 0; 1; 2; 4; 10 ]) () =
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let piece = Codec.block_bits cfg.codec 0 in
   let table =
     Table.create
@@ -1036,7 +1028,9 @@ let e15_version_bound ?(value_bytes = default_value_bytes) ?(f = 2) ?(k = 8) ?(c
         let reads_done = List.fold_left (fun a m -> a + m.Runs.completed_reads) 0 ms in
         let reads_inv = List.fold_left (fun a m -> a + m.Runs.invoked_reads) 0 ms in
         let storage_bound = (delta + 1) * cfg.n * piece in
-        let all_strong = List.for_all (fun m -> verdict_ok m.Runs.strong) ms in
+        let all_strong =
+          List.for_all (fun m -> Sb_spec.Regularity.ok m.Runs.strong) ms
+        in
         Table.add_row table
           [
             string_of_int delta; string_of_int m.Runs.max_obj_bits;
@@ -1080,7 +1074,7 @@ let e15_version_bound ?(value_bytes = default_value_bytes) ?(f = 2) ?(k = 8) ?(c
 let e16_lower_bound_mp ?(value_bytes = default_value_bytes) ?(f = 6)
     ?(cs = [ 1; 2; 4; 6 ]) () =
   let k = f in
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let table =
     Table.create
@@ -1136,7 +1130,7 @@ let e16_lower_bound_mp ?(value_bytes = default_value_bytes) ?(f = 6)
 
 let e17_ell_sweep ?(value_bytes = default_value_bytes) ?(f = 6) ?(c = 6) () =
   let k = f in
-  let cfg = coded_cfg ~value_bytes ~f ~k in
+  let cfg = Catalog.coded_cfg ~value_bytes ~f ~k in
   let d = d_bits ~value_bytes in
   let table =
     Table.create
@@ -1219,7 +1213,8 @@ let e18_base_model_floors ?(value_bytes = default_value_bytes) ?(f = 1)
     Workloads.writers_and_readers ~value_bytes ~writers:1 ~writes_each:2
       ~readers:2 ~reads_each:2
   in
-  let measure_worst ~base_model ~budget ~algorithm ~cfg =
+  let measure_worst ~base_model ~algorithm ~cfg =
+    let budget = Sb_baseobj.Model.budget base_model in
     let ms =
       List.map
         (fun seed ->
@@ -1235,35 +1230,16 @@ let e18_base_model_floors ?(value_bytes = default_value_bytes) ?(f = 1)
     in
     Runs.worst ms
   in
-  let rw_cfg =
-    { Sb_registers.Common.n = (2 * f) + 1; f;
-      codec = Codec.replication ~value_bytes ~n:((2 * f) + 1) }
-  in
-  let byz_cfg ~b =
-    let n = (2 * f) + (2 * b) + 1 in
-    { Sb_registers.Common.n; f; codec = Codec.replication ~value_bytes ~n }
-  in
-  let coded = coded_cfg ~value_bytes ~f ~k in
   let rows =
-    [
-      ( "rw-regular", Sb_baseobj.Model.Read_write, 0,
-        Sb_registers.Rw_replica.make rw_cfg, rw_cfg,
-        Some floor_bits );
-      ( "rw-fcopy", Sb_baseobj.Model.Read_write, 0,
-        Sb_registers.Rw_replica.make_fcopy rw_cfg, rw_cfg,
-        Some (f * d) );
-      ( "rw-safe", Sb_baseobj.Model.Read_write, 0,
-        Sb_registers.Rw_replica.make_safe coded, coded,
-        Some (((2 * f) + k) * d / k) );
-      ( "adaptive(rmw)", Sb_baseobj.Model.Rmw, 0,
-        Sb_registers.Adaptive.make coded, coded, None );
-      ( "byz-regular:0", Sb_baseobj.Model.Byzantine { budget = 0 }, 0,
-        Sb_registers.Byz_regular.make ~budget:0 (byz_cfg ~b:0), byz_cfg ~b:0,
-        None );
-      ( "byz-regular:1", Sb_baseobj.Model.Byzantine { budget = 1 }, 1,
-        Sb_registers.Byz_regular.make ~budget:1 (byz_cfg ~b:1), byz_cfg ~b:1,
-        None );
-    ]
+    Catalog.
+      [
+        ("rw-regular", Rw_regular, Some floor_bits);
+        ("rw-fcopy", Rw_fcopy, Some (f * d));
+        ("rw-safe", Rw_safe, Some (((2 * f) + k) * d / k));
+        ("adaptive(rmw)", Adaptive, None);
+        ("byz-regular:0", Byz_reg 0, None);
+        ("byz-regular:1", Byz_reg 1, None);
+      ]
   in
   let table =
     Table.create
@@ -1278,8 +1254,12 @@ let e18_base_model_floors ?(value_bytes = default_value_bytes) ?(f = 1)
   in
   let measured =
     List.map
-      (fun (name, base_model, budget, algorithm, cfg, expect) ->
-        let m = measure_worst ~base_model ~budget ~algorithm ~cfg in
+      (fun (name, register, expect) ->
+        let algorithm, cfg =
+          Catalog.build ~writers:1 register ~value_bytes ~f ~k
+        in
+        let base_model = Catalog.base_model register in
+        let m = measure_worst ~base_model ~algorithm ~cfg in
         let rel =
           if m.Runs.final_obj_bits < floor_bits then "below"
           else if m.Runs.final_obj_bits = floor_bits then "at"
@@ -1293,7 +1273,7 @@ let e18_base_model_floors ?(value_bytes = default_value_bytes) ?(f = 1)
             string_of_int m.Runs.final_obj_bits;
             string_of_int floor_bits;
             rel;
-            (if verdict_ok m.Runs.strong then "ok" else "no");
+            (if Sb_spec.Regularity.ok m.Runs.strong then "ok" else "no");
           ];
         (name, m, expect))
       rows
@@ -1323,7 +1303,7 @@ let e18_base_model_floors ?(value_bytes = default_value_bytes) ?(f = 1)
   in
   let regular_ok =
     List.for_all
-      (fun name -> verdict_ok (find name).Runs.strong)
+      (fun name -> Sb_spec.Regularity.ok (find name).Runs.strong)
       [ "rw-regular"; "adaptive(rmw)"; "byz-regular:0"; "byz-regular:1" ]
   in
   {

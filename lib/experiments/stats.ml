@@ -21,6 +21,13 @@ let percentile samples ~p =
     ((1.0 -. frac) *. float_of_int sorted.(lo)) +. (frac *. float_of_int sorted.(hi))
   end
 
+let nearest_rank sorted ~p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    let rank = int_of_float (Float.ceil (p *. float_of_int n /. 100.0)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 let summarize samples =
   match samples with
   | [] -> invalid_arg "Stats.summarize: empty sample"

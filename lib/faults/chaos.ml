@@ -76,7 +76,7 @@ let run_ok r =
   r.r_quiescent
   && r.r_completed = r.r_ops
   && r.r_stuck = []
-  && (match r.r_verdict with Sb_spec.Regularity.Ok -> true | _ -> false)
+  && Sb_spec.Regularity.ok r.r_verdict
   && r.r_violations = []
   && r.r_accounting_ok
 
@@ -99,6 +99,30 @@ let swmr_workload ~value_bytes =
      [ Trace.Read; Trace.Read ];
      [ Trace.Read ];
   |]
+
+let catalog_spec ~byz_behaviour algo ~value_bytes ~f ~k =
+  let module Catalog = Sb_experiments.Catalog in
+  (* The default workload races two writers; rw-regular and rw-fcopy
+     then provision one cell group per writer. *)
+  let single = Catalog.single_writer algo in
+  let writers = if single then 1 else 2 in
+  let build () = Catalog.build ~writers algo ~value_bytes ~f ~k in
+  let cfg = snd (build ()) in
+  let model = Catalog.base_model algo in
+  { sp_name = Catalog.to_string algo;
+    sp_make = (fun () -> fst (build ()));
+    sp_n = cfg.Sb_registers.Common.n;
+    sp_f = f;
+    sp_k = Catalog.code_k algo ~k;
+    sp_value_bytes = value_bytes;
+    sp_reg_avail = Catalog.reg_avail algo;
+    sp_check = Catalog.checker (Catalog.level algo);
+    sp_base_model = model;
+    sp_byz =
+      (if Sb_baseobj.Model.budget model > 0 then Some byz_behaviour else None);
+    sp_floor = Catalog.storage_floor ~writers algo ~value_bytes ~f;
+    sp_workload = (if single then Some swmr_workload else None);
+  }
 
 let plan_for cfg ~drop =
   let p =
@@ -249,10 +273,7 @@ let report cells =
       let n_runs = List.length runs in
       let completed = List.filter run_ok runs in
       let verdicts_ok =
-        List.for_all
-          (fun r ->
-            match r.r_verdict with Sb_spec.Regularity.Ok -> true | _ -> false)
-          runs
+        List.for_all (fun r -> Sb_spec.Regularity.ok r.r_verdict) runs
       in
       Table.add_row t
         [ c.cl_algo;

@@ -45,6 +45,14 @@ val swmr_workload : value_bytes:int -> Sb_sim.Trace.op_kind list array
 (** One writer (two writes), two readers — the drive for single-writer
     emulations. *)
 
+val catalog_spec :
+  byz_behaviour:Sb_adversary.Byz.behaviour -> Sb_experiments.Catalog.t ->
+  value_bytes:int -> f:int -> k:int -> spec
+(** A register's spec, every field read from the catalogue: its level,
+    monitors, floor and base model.  Single-writer registers get
+    {!swmr_workload}; the others race two writers.  [byz_behaviour] is
+    how a Byzantine register's liars lie. *)
+
 type config = {
   seeds : int;            (** Runs per (algorithm, drop) cell. *)
   base_seed : int;

@@ -4,6 +4,7 @@ module Sdk = Sb_service.Sdk
 module Wire = Sb_service.Wire
 module Prng = Sb_util.Prng
 module J = Sb_util.Jsonx
+module Catalog = Sb_experiments.Catalog
 
 (* ------------------------------------------------------------------ *)
 (* Socket-layer interpretation of a Plan                               *)
@@ -153,16 +154,22 @@ let corrupt_file ~seed fault file =
 (* ------------------------------------------------------------------ *)
 
 type spec = {
-  sp_name : string;
+  sp_algo : Catalog.t;
   sp_make : unit -> Sb_sim.Runtime.algorithm;
   sp_n : int;
   sp_f : int;
   sp_k : int;
   sp_value_bytes : int;
-  sp_initial : bytes;
-  sp_bounds : bool;
-  sp_check : Sb_spec.History.t -> Sb_spec.Regularity.verdict;
 }
+
+let spec algo ~value_bytes ~f ~k =
+  let build () = Catalog.build ~writers:1 algo ~value_bytes ~f ~k in
+  { sp_algo = algo;
+    sp_make = (fun () -> fst (build ()));
+    sp_n = (snd (build ())).Sb_registers.Common.n;
+    sp_f = f;
+    sp_k = Catalog.code_k algo ~k;
+    sp_value_bytes = value_bytes }
 
 type config = {
   lc_seeds : int;
@@ -335,6 +342,10 @@ let rec reap pid =
 
 let run_counter = ref 0
 
+let bounds cfg spec =
+  Livecheck.bounds ~f:spec.sp_f ~k:spec.sp_k ~c:cfg.lc_writers
+    ~d_bits:(8 * spec.sp_value_bytes)
+
 (* The workload half of a cell, forked so a cluster meltdown can never
    take the conductor down: runs the SDK under client-side fault hooks,
    judges the trace, samples quiescent storage, and reports key=value
@@ -366,27 +377,21 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
          sdk_cfg
      in
      let history =
-       Sb_spec.History.of_trace ~initial:spec.sp_initial r.Sdk.trace
+       Sb_spec.History.of_trace
+         ~initial:(Bytes.make spec.sp_value_bytes '\000')
+         r.Sdk.trace
      in
-     let ok_of = function
-       | Sb_spec.Regularity.Ok -> 1
-       | Sb_spec.Regularity.Violation _ -> 0
-     in
-     let weak_v = Sb_spec.Regularity.check_weak history in
-     let check_v = spec.sp_check history in
-     (if (ok_of weak_v = 0 || ok_of check_v = 0)
+     let reg = Livecheck.regularity spec.sp_algo history in
+     let ok_of v = Bool.to_int (Sb_spec.Regularity.ok v) in
+     (if (ok_of reg.weak = 0 || ok_of reg.level = 0)
          && Sys.getenv_opt "SB_LIVE_DEBUG" <> None
       then begin
         Format.eprintf
           "@[<v>live debug (%s/%s seed %d):@,weak: %a@,check: %a@,%a@]@."
-          sc.sc_name spec.sp_name seed Sb_spec.Regularity.pp_verdict weak_v
-          Sb_spec.Regularity.pp_verdict check_v Sb_spec.History.pp history
+          sc.sc_name (Catalog.to_string spec.sp_algo) seed
+          Sb_spec.Regularity.pp_verdict reg.weak
+          Sb_spec.Regularity.pp_verdict reg.level Sb_spec.History.pp history
       end);
-     let sum_max =
-       List.fold_left
-         (fun a (st : Wire.stats) -> a + st.Wire.st_max_bits)
-         0 r.Sdk.final_stats
-     in
      (* Clean flush writes before judging the GC floor.  Quorum
         protocols cancel retransmission once a quorum answers, so
         under message loss a server can permanently miss the final GC
@@ -401,7 +406,7 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
         census is at the floor (the paper's "eventually"), bounded.
         The peak above is measured before any of this, on the faulted
         run alone. *)
-     let floor_bits = spec.sp_n * 8 * spec.sp_value_bytes / spec.sp_k in
+     let floor_bits = (bounds cfg spec).floor_bits in
      let flush_cfg =
        {
          sdk_cfg with
@@ -416,12 +421,7 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
        let stats =
          Sdk.fetch_stats ~sockdir ~servers:(List.init spec.sp_n Fun.id) ()
        in
-       let bits =
-         List.fold_left
-           (fun a (st : Wire.stats) -> a + st.Wire.st_storage_bits)
-           0 stats
-       in
-       (stats, bits)
+       (stats, Livecheck.quiescent_bits stats)
      in
      let flush_once attempt =
        let flush_cid = 63 - attempt in
@@ -469,8 +469,8 @@ let sdk_child cfg spec sc ~seed ~sockdir wfd =
         peak=%d\nquiescent=%d\nrecoveries=%d\nrecov_stats=%d\nreconnects=%d\n\
         retrans=%d\nopfail=%d\ntimedout=%d\nstats_servers=%d\n"
        r.Sdk.ops_invoked r.Sdk.ops_completed r.Sdk.wall_ms
-       (ok_of weak_v) (ok_of check_v)
-       (max r.Sdk.peak_sampled_bits sum_max)
+       (ok_of reg.weak) (ok_of reg.level)
+       (Livecheck.peak_bits ~sampled:r.Sdk.peak_sampled_bits r.Sdk.final_stats)
        quiescent r.Sdk.recoveries_observed recov_stats r.Sdk.reconnects
        r.Sdk.retransmissions
        (List.length r.Sdk.failures)
@@ -598,12 +598,7 @@ let run_one cfg spec sc ~seed =
     daemons;
   rm_rf base;
   let kv = parse_kv (Buffer.contents buf) in
-  let m = (2 * spec.sp_f) + spec.sp_k in
-  let d_bits = 8 * spec.sp_value_bytes in
-  let ceiling_bits =
-    min ((cfg.lc_writers + 1) * m) (m * m) * d_bits / spec.sp_k
-  in
-  let floor_bits = m * d_bits / spec.sp_k in
+  let b = bounds cfg spec in
   let ops = kv_int kv "ops" in
   let completed = kv_int kv "completed" in
   let weak_ok = kv_int kv "weak_ok" = 1 in
@@ -641,15 +636,12 @@ let run_one cfg spec sc ~seed =
         (Printf.sprintf "%d crashed servers rejoined bumped, wanted >= %d"
            recov_stats expected_crashes);
     need weak_ok "weak regularity violated";
-    need check_ok "register-level consistency violated";
-    if spec.sp_bounds then begin
-      need (peak <= ceiling_bits)
-        (Printf.sprintf "peak %d bits above Theorem 2 ceiling %d" peak
-           ceiling_bits);
-      need (quiescent <= floor_bits)
-        (Printf.sprintf "quiescent %d bits above GC floor %d" quiescent
-           floor_bits)
-    end
+    need check_ok
+      (Catalog.level_name (Catalog.level spec.sp_algo) ^ " regularity violated");
+    if Catalog.bounded spec.sp_algo then
+      List.iter
+        (fun (v : Livecheck.verdict) -> need v.ok v.failure)
+        (Livecheck.closed_verdicts b ~peak ~quiescent)
   end
   else
     need (quarantined >= 1) "corrupt state file was not quarantined";
@@ -662,8 +654,8 @@ let run_one cfg spec sc ~seed =
     lr_check_ok = check_ok;
     lr_peak_bits = peak;
     lr_quiescent_bits = quiescent;
-    lr_ceiling_bits = ceiling_bits;
-    lr_floor_bits = floor_bits;
+    lr_ceiling_bits = b.ceiling_bits;
+    lr_floor_bits = b.floor_bits;
     lr_recoveries = max recoveries recov_stats;
     lr_reconnects = kv_int kv "reconnects";
     lr_retransmissions = kv_int kv "retrans";
@@ -684,7 +676,7 @@ let run_cell cfg spec sc =
   let runs = List.map (fun seed -> run_one cfg spec sc ~seed) seeds in
   {
     cl_scenario = sc.sc_name;
-    cl_algo = spec.sp_name;
+    cl_algo = Catalog.to_string spec.sp_algo;
     cl_green = sc.sc_green;
     cl_runs = runs;
     cl_ok = List.for_all (fun r -> r.lr_ok) runs;

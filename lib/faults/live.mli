@@ -44,17 +44,21 @@ val corrupt_file : seed:int -> disk_fault -> string -> bool
     for [Df_none] or a missing file. *)
 
 type spec = {
-  sp_name : string;
+  sp_algo : Sb_experiments.Catalog.t;
+      (** Names the register, its consistency level, and whether the
+          Theorem 2 ceiling and GC floor are asserted. *)
   sp_make : unit -> Sb_sim.Runtime.algorithm;
       (** Fresh algorithm per process (encoders may be stateful). *)
   sp_n : int;
   sp_f : int;
-  sp_k : int;
+  sp_k : int;  (** The code dimension ({!Sb_experiments.Catalog.code_k}). *)
   sp_value_bytes : int;
-  sp_initial : bytes;  (** The register's initial value, for histories. *)
-  sp_bounds : bool;    (** Assert the Theorem 2 ceiling and GC floor. *)
-  sp_check : Sb_spec.History.t -> Sb_spec.Regularity.verdict;
 }
+
+val spec :
+  Sb_experiments.Catalog.t -> value_bytes:int -> f:int -> k:int -> spec
+(** A register's spec, read from the catalogue.  The live stack runs
+    RMW base objects only ({!Sb_experiments.Catalog.check_live}). *)
 
 type config = {
   lc_seeds : int;        (** Seeds per green scenario cell. *)

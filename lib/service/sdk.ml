@@ -327,16 +327,11 @@ let flush_batch eng s c =
       (Wire.encode_msg ~version:eng.peer_version.(s)
          (Wire.Req_batch (List.rev rqs)))
 
-(* Keyed traffic needs wire v3; towards an older peer the frame is
-   unencodable, so it is dropped rather than raised on — the operation
-   fails by its retransmission/deadline budget, never the process. *)
-let encodable eng s msg =
-  eng.peer_version.(s) >= 3
-  ||
-  match msg with
-  | Wire.Request rq -> rq.Wire.rq_key = ""
-  | Wire.Req_batch _ | Wire.Resp_batch _ -> false
-  | _ -> true
+(* A frame the peer's negotiated version cannot carry (keyed traffic
+   below v3, an rw write below v4) is dropped rather than raised on —
+   the operation fails by its retransmission/deadline budget, never the
+   process. *)
+let encodable eng s msg = Wire.encodable ~version:eng.peer_version.(s) msg
 
 (* A request towards a dead server waits in its retransmit timer;
    resends go out once the connection is back.  Frames are encoded at
@@ -353,6 +348,7 @@ let send_to eng s msg =
    the peer (negotiated v3+, handshake done), immediate otherwise. *)
 let enqueue_req eng s (rq : Wire.request) =
   match eng.conns.(s) with
+  | Up _ when not (encodable eng s (Wire.Request rq)) -> ()
   | Up c
     when eng.cfg.batch_max > 1
          && eng.welcomed.(s)

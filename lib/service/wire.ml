@@ -763,6 +763,21 @@ let decode_body ?(max_version = version) r_payload buf =
     Error ("invalid value in frame: " ^ e)
 
 let encode_msg ?version:(v = version) m = frame_body ~v (w_msg ~v) m
+
+(* The limits the writers above enforce by raising, as one predicate. *)
+let request_encodable ~version rq =
+  (version >= 3 || rq.rq_key = "")
+  && (match rq.rq_desc with D.Rw_write _ -> version >= 4 | _ -> true)
+
+let encodable ~version = function
+  | Hello _ | Welcome _ | Stats_query | Stats _ -> true
+  | Reject _ -> version >= 2
+  | Request rq -> request_encodable ~version rq
+  | Response rs -> version >= 3 || rs.rs_key = ""
+  | Req_batch rqs ->
+    version >= 3 && List.for_all (request_encodable ~version) rqs
+  | Resp_batch _ -> version >= 3
+
 let decode_msg ?max_version buf =
   decode_body ?max_version (fun v c -> r_msg ~v c) buf
 

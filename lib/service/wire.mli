@@ -134,6 +134,13 @@ val encode_msg : ?version:int -> msg -> bytes
     [?version] (default {!version}) selects the body layout for the
     peer's negotiated version. *)
 
+val encodable : version:int -> msg -> bool
+(** Whether a peer speaking [version] (one of [min_version..version])
+    can carry the message: {!encode_msg} at that version raises
+    [Invalid_argument] exactly when this is false.  [Reject] needs v2,
+    a keyed request or response and the batch frames need v3, and a
+    request carrying an [Rw_write] description needs v4. *)
+
 val decode_msg : ?max_version:int -> bytes -> (msg, string) result
 (** Decodes a frame {e body} (the bytes after the length prefix),
     accepting versions [min_version..max_version] (default

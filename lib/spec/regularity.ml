@@ -24,6 +24,8 @@ type counterexample = {
 
 type verdict = Ok | Violation of counterexample
 
+let ok = function Ok -> true | Violation _ -> false
+
 let node_name n = if n = 0 then "w0(v0)" else Printf.sprintf "op%d" n
 
 let reason_to_string ~read reason =

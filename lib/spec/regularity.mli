@@ -74,6 +74,8 @@ type counterexample = {
 
 type verdict = Ok | Violation of counterexample
 
+val ok : verdict -> bool
+
 val check_weak : History.t -> verdict
 (** MWRegWeak: each returned read is checked independently. *)
 

@@ -293,6 +293,27 @@ grep -q '"ok": true' "$SHARD_JSON" || {
   echo "sharded chaos report not ok"; cat "$SHARD_JSON"; exit 1;
 }
 echo "== sharded chaos phase passed"
+for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
+wait 2>/dev/null || true
+
+# ---------------------------------------------------------------------
+# Live chaos phase: seeded socket/disk fault campaigns over forked
+# clusters — frame loss/duplication/fragmentation, a held-then-healed
+# partition, torn-write crash points, and corrupted state files that
+# must quarantine and recover fresh.  Green cells re-assert regularity
+# and the Theorem 2 ceiling/floor under faults; the report lands in
+# CHAOS_live_report.json for the CI artifact.  It runs before the
+# multicore phase, whose domains gate can fail on a 2-vCPU machine and
+# would then stop the script before this phase.
+# ---------------------------------------------------------------------
+echo "== live chaos campaign (quick)"
+CHAOS_JSON=${CHAOS_JSON:-CHAOS_live_report.json}
+$SPACEBOUNDS chaos --live --quick -a adaptive -f 2 -k 1 --seed 7 \
+  --value-bytes 64 --live-report "$CHAOS_JSON"
+grep -q '"ok": true' "$CHAOS_JSON" || {
+  echo "live chaos report not ok"; cat "$CHAOS_JSON"; exit 1;
+}
+echo "== live chaos passed"
 
 # ---------------------------------------------------------------------
 # Multicore phase: the whole fleet in ONE process, split across event-
@@ -316,8 +337,6 @@ echo "== sharded chaos phase passed"
 # ---------------------------------------------------------------------
 CORES=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 echo "== multicore phase: single-process fleet, $CORES core(s)"
-for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-wait 2>/dev/null || true
 rm -rf "$SOCKDIR" "$STATEDIR"
 mkdir -p "$SOCKDIR" "$STATEDIR"
 
@@ -368,20 +387,3 @@ else
   echo "== domains speedup gate skipped (recorded $T1 ops/s; single core)"
 fi
 echo "== multicore phase passed"
-
-# ---------------------------------------------------------------------
-# Live chaos phase: seeded socket/disk fault campaigns over forked
-# clusters — frame loss/duplication/fragmentation, a held-then-healed
-# partition, torn-write crash points, and corrupted state files that
-# must quarantine and recover fresh.  Green cells re-assert regularity
-# and the Theorem 2 ceiling/floor under faults; the report lands in
-# CHAOS_live_report.json for the CI artifact.
-# ---------------------------------------------------------------------
-echo "== live chaos campaign (quick)"
-CHAOS_JSON=${CHAOS_JSON:-CHAOS_live_report.json}
-$SPACEBOUNDS chaos --live --quick -a adaptive -f 2 -k 1 --seed 7 \
-  --value-bytes 64 --live-report "$CHAOS_JSON"
-grep -q '"ok": true' "$CHAOS_JSON" || {
-  echo "live chaos report not ok"; cat "$CHAOS_JSON"; exit 1;
-}
-echo "== live chaos passed"

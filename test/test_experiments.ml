@@ -143,6 +143,18 @@ let test_stats_percentile () =
   Alcotest.(check (float 1e-9)) "p50" 30.0 (Stats.percentile samples ~p:50.0);
   Alcotest.(check (float 1e-9)) "p25" 20.0 (Stats.percentile samples ~p:25.0)
 
+(* The nearest rank never interpolates: for four samples, p50 is the
+   second one where [percentile] gives the midpoint. *)
+let test_stats_nearest_rank () =
+  let sorted = [| 1.0; 2.0; 3.0; 4.0 |] in
+  Alcotest.(check (float 1e-9)) "empty" 0.0 (Stats.nearest_rank [||] ~p:50.0);
+  Alcotest.(check (float 1e-9)) "p50" 2.0 (Stats.nearest_rank sorted ~p:50.0);
+  Alcotest.(check (float 1e-9)) "p51" 3.0 (Stats.nearest_rank sorted ~p:51.0);
+  Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.nearest_rank sorted ~p:0.0);
+  Alcotest.(check (float 1e-9)) "p100" 4.0 (Stats.nearest_rank sorted ~p:100.0);
+  Alcotest.(check (float 1e-9)) "interpolating p50" 2.5
+    (Stats.percentile [ 1; 2; 3; 4 ] ~p:50.0)
+
 let test_stats_errors () =
   Alcotest.(check bool) "empty rejected" true
     (try ignore (Stats.summarize []); false with Invalid_argument _ -> true);
@@ -233,6 +245,79 @@ let test_series_sparkline () =
   Alcotest.(check int) "height rows + axis + trailing" 8 (List.length lines);
   Alcotest.(check bool) "contains marks" true (String.contains chart '#')
 
+(* ------------------------------------------------------------------ *)
+(* Register catalogue                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Catalog = Sb_experiments.Catalog
+
+let catalog =
+  Catalog.
+    [ Adaptive; Pure_ec; Abd; Abd_atomic; Abd_broken; Abd_misdeclared;
+      Premature_gc; Safe; Versioned 3; Rateless; Rw_regular; Rw_fcopy;
+      Rw_safe; Byz_reg 2 ]
+
+(* Adding a constructor breaks this match until [catalog] lists it. *)
+let _listed : Catalog.t -> unit = function
+  | Adaptive | Pure_ec | Abd | Abd_atomic | Abd_broken | Abd_misdeclared
+  | Premature_gc | Safe | Versioned _ | Rateless | Rw_regular | Rw_fcopy
+  | Rw_safe | Byz_reg _ -> ()
+
+let parses name expected =
+  match Catalog.of_string name with
+  | Ok t ->
+    Alcotest.(check string) name (Catalog.to_string expected)
+      (Catalog.to_string t)
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let test_catalog_names () =
+  List.iter (fun t -> parses (Catalog.to_string t) t) catalog;
+  Alcotest.(check string) "versioned" "versioned:3"
+    (Catalog.to_string (Catalog.Versioned 3));
+  Alcotest.(check string) "byz" "byz-regular:2"
+    (Catalog.to_string (Catalog.Byz_reg 2));
+  parses "replication" Catalog.Abd;
+  parses "byz-regular" (Catalog.Byz_reg 1);
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " refused") true
+        (Result.is_error (Catalog.of_string bad)))
+    [ "versioned:-1"; "byz-regular:x"; "versioned"; "abd:1"; "nope" ]
+
+(* The facts the front ends used to restate by hand. *)
+let test_catalog_facts () =
+  let n t =
+    (snd (Catalog.build ~writers:2 t ~value_bytes:8 ~f:1 ~k:2))
+      .Sb_registers.Common.n
+  in
+  Alcotest.(check (list int)) "object counts" [ 4; 3; 6; 5; 4 ]
+    Catalog.(List.map n [ Adaptive; Abd; Rw_regular; Byz_reg 1; Rw_safe ]);
+  Alcotest.(check (list int)) "code dimension" [ 2; 1; 1; 2 ]
+    Catalog.(List.map (code_k ~k:2) [ Adaptive; Abd; Byz_reg 1; Rw_safe ]);
+  Alcotest.(check (list bool)) "live service runs rmw registers only"
+    [ true; true; false; false ]
+    Catalog.(
+      List.map
+        (fun t -> Result.is_ok (check_live t))
+        [ Adaptive; Premature_gc; Rw_safe; Byz_reg 0 ]);
+  Alcotest.(check bool) "single writer refused two" true
+    (Result.is_error (Catalog.check_writers Catalog.Rw_safe ~writers:2));
+  Alcotest.(check bool) "multi writer accepted" true
+    (Result.is_ok (Catalog.check_writers Catalog.Rw_regular ~writers:2));
+  Alcotest.(check bool) "premature-gc arms the availability monitor" true
+    (Catalog.reg_avail Catalog.Premature_gc);
+  Alcotest.(check bool) "safe does not" false (Catalog.reg_avail Catalog.Safe);
+  Alcotest.(check (list string)) "levels" [ "atomic"; "safe"; "safe"; "strong" ]
+    Catalog.(
+      List.map
+        (fun t -> level_name (level t))
+        [ Abd_atomic; Safe; Rw_safe; Adaptive ]);
+  Alcotest.(check (option (pair int int))) "rw floor per writer group"
+    (Some (4, 64))
+    (Catalog.storage_floor ~writers:2 Catalog.Rw_regular ~value_bytes:8 ~f:1);
+  Alcotest.(check (list string)) "Theorem 2 bounds apply" [ "adaptive" ]
+    (List.map Catalog.to_string (List.filter Catalog.bounded catalog))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -273,10 +358,16 @@ let () =
           Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "single sample" `Quick test_stats_single;
           Alcotest.test_case "percentiles" `Quick test_stats_percentile;
+          Alcotest.test_case "nearest rank" `Quick test_stats_nearest_rank;
           Alcotest.test_case "errors" `Quick test_stats_errors;
           test_stats_mean_bounds;
           Alcotest.test_case "table csv" `Quick test_table_csv;
           Alcotest.test_case "message counts" `Quick test_message_counts;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "names round-trip" `Quick test_catalog_names;
+          Alcotest.test_case "per-register facts" `Quick test_catalog_facts;
         ] );
       ( "series",
         [

@@ -11,6 +11,9 @@ module Plan = Sb_faults.Plan
 module Inject = Sb_faults.Inject
 module Chaos = Sb_faults.Chaos
 module Monitor = Sb_sanitize.Monitor
+module Live = Sb_faults.Live
+module Netfault = Sb_service.Netfault
+module SWire = Sb_service.Wire
 
 let value_bytes = 32
 let v i = Sb_util.Values.distinct ~value_bytes i
@@ -441,23 +444,6 @@ let byz_cfg ~f ~b =
   let n = (2 * f) + (2 * b) + 1 in
   { Common.n; f; codec = Codec.replication ~value_bytes ~n }
 
-let byz_spec ~f ~b behaviour =
-  let cfg = byz_cfg ~f ~b in
-  {
-    Chaos.sp_name = Printf.sprintf "byz-regular:%d" b;
-    sp_make = (fun () -> Sb_registers.Byz_regular.make ~budget:b cfg);
-    sp_n = cfg.Common.n;
-    sp_f = cfg.Common.f;
-    sp_k = 1;
-    sp_value_bytes = value_bytes;
-    sp_reg_avail = true;
-    sp_check = Sb_spec.Regularity.check_strong;
-    sp_base_model = Model.Byzantine { budget = b };
-    sp_byz = (if b > 0 then Some behaviour else None);
-    sp_floor = Some (f + 1, 8 * value_bytes);
-    sp_workload = Some Chaos.swmr_workload;
-  }
-
 (* Within budget ([b <= f]) every lying behaviour must ride out the full
    chaos plan — message loss, duplication, crash/recovery — with a clean
    strong-regularity verdict and the floor monitor armed. *)
@@ -467,7 +453,11 @@ let test_chaos_byz_within_budget () =
   in
   List.iter
     (fun behaviour ->
-      let cells = Chaos.campaign config [ byz_spec ~f:1 ~b:1 behaviour ] in
+      let spec =
+        Chaos.catalog_spec ~byz_behaviour:behaviour
+          (Sb_experiments.Catalog.Byz_reg 1) ~value_bytes ~f:1 ~k:1
+      in
+      let cells = Chaos.campaign config [ spec ] in
       if not (Chaos.all_ok cells) then (
         Chaos.explain_failures Format.str_formatter cells;
         Alcotest.failf "byz campaign (%s) failed:@ %s"
@@ -551,13 +541,174 @@ let test_chaos_smoke () =
        (List.filter (fun l -> String.trim l <> "")
           (String.split_on_char '\n' csv)))
 
+(* The catalogue arms the availability monitor for premature-gc, the
+   seeded bug that monitor exists to catch, so a quick campaign over the
+   catalogue's spec must flag it in every cell. *)
+let test_chaos_catches_premature_gc () =
+  let spec =
+    Chaos.catalog_spec ~byz_behaviour:Byz.Stale_echo
+      Sb_experiments.Catalog.Premature_gc ~value_bytes:64 ~f:1 ~k:2
+  in
+  let cells = Chaos.campaign Chaos.quick_config [ spec ] in
+  let premature_gc (v : Monitor.violation) =
+    match v.Monitor.rule with Monitor.Premature_gc _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "the campaign fails" false (Chaos.all_ok cells);
+  List.iter
+    (fun (c : Chaos.cell) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "drop %.2f: a run flags premature-gc" c.Chaos.cl_drop)
+        true
+        (List.exists
+           (fun (r : Chaos.run_result) ->
+             List.exists premature_gc r.Chaos.r_violations)
+           c.Chaos.cl_runs))
+    cells
+
+(* ------------------------------------------------------------------ *)
+(* Livecheck: a live run's judgement, without sockets                  *)
+(* ------------------------------------------------------------------ *)
+
+module Livecheck = Sb_faults.Livecheck
+
+(* The nearest-rank formula loadgen used before it moved to Stats. *)
+let reference_rank sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    sorted.(max 0
+              (min (n - 1)
+                 (int_of_float (Float.ceil (p *. float_of_int n /. 100.0)) - 1)))
+
+let test_livecheck_latency () =
+  let empty = Livecheck.latency [] in
+  Alcotest.(check (list (float 0.0))) "empty gives 0" [ 0.0; 0.0; 0.0; 0.0 ]
+    [ empty.p50; empty.p95; empty.p99; empty.max ];
+  let samples = [ 7.5; 0.25; 3.0; 12.0; 1.0; 3.0; 40.0; 2.5; 9.0; 0.5; 6.0 ] in
+  let lat = Livecheck.latency samples in
+  Alcotest.(check (float 0.0)) "p100 is the max" 40.0 lat.max;
+  let sorted = Array.of_list (List.sort Float.compare samples) in
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "p%g" p)
+        (reference_rank sorted p)
+        (Sb_experiments.Stats.nearest_rank sorted ~p))
+    [ 0.0; 1.0; 25.0; 50.0; 90.0; 95.0; 99.0; 100.0 ];
+  Alcotest.(check (list (float 0.0))) "p50 p95 p99"
+    [ reference_rank sorted 50.0; reference_rank sorted 95.0;
+      reference_rank sorted 99.0 ]
+    [ lat.p50; lat.p95; lat.p99 ]
+
+(* Both branches of min((c+1)(2f+k), (2f+k)^2)·D/k, and the floor, at
+   k = 1 (m = 5) and k = f (m = 6), with D = 512 bits. *)
+let test_livecheck_bounds () =
+  let b ~k ~c = Livecheck.bounds ~f:2 ~k ~c ~d_bits:512 in
+  let pair (x : Livecheck.bounds) = (x.ceiling_bits, x.floor_bits) in
+  let cf = Alcotest.(pair int int) in
+  Alcotest.check cf "k=1, c=1: (c+1)(2f+k) branch" (5120, 2560) (pair (b ~k:1 ~c:1));
+  Alcotest.check cf "k=1, c=8: (2f+k)^2 branch" (12800, 2560) (pair (b ~k:1 ~c:8));
+  Alcotest.check cf "k=f, c=1: (c+1)(2f+k) branch" (3072, 1536) (pair (b ~k:2 ~c:1));
+  Alcotest.check cf "k=f, c=8: (2f+k)^2 branch" (9216, 1536) (pair (b ~k:2 ~c:8));
+  Alcotest.check cf "fleet of 3 keys" (15360, 7680)
+    (pair (Livecheck.fleet (b ~k:1 ~c:1) ~keys:3))
+
+let stats ?(shards = []) ~max_bits ~storage_bits server =
+  { SWire.st_server = server; st_incarnation = 1; st_storage_bits = storage_bits;
+    st_max_bits = max_bits; st_dedup_hits = 0; st_applied = 0;
+    st_keys = 0; st_shards = shards }
+
+let shard ~max_key_bits i =
+  { SWire.ss_shard = i; ss_incarnation = 1; ss_keys = 1; ss_storage_bits = 0;
+    ss_max_bits = 0; ss_max_key_bits = max_key_bits }
+
+let test_livecheck_storage () =
+  let plain =
+    [ stats ~max_bits:300 ~storage_bits:100 0;
+      stats ~max_bits:500 ~storage_bits:200 1 ]
+  in
+  let sharded =
+    [ stats ~max_bits:900 ~storage_bits:10 0
+        ~shards:[ shard ~max_key_bits:40 0; shard ~max_key_bits:70 1 ];
+      stats ~max_bits:800 ~storage_bits:20 1
+        ~shards:
+          [ shard ~max_key_bits:50 0; shard ~max_key_bits:20 1;
+            shard ~max_key_bits:30 2 ] ]
+  in
+  Alcotest.(check int) "per-key peak without shards" 800
+    (Livecheck.per_key_peak_bits plain);
+  Alcotest.(check int) "per-key peak over shards" 120
+    (Livecheck.per_key_peak_bits sharded);
+  Alcotest.(check int) "unsharded fleet: keys + 1" 101
+    (Livecheck.fleet_keys ~keys:100 plain);
+  Alcotest.(check int) "sharded fleet: keys + shards" 103
+    (Livecheck.fleet_keys ~keys:100 sharded);
+  Alcotest.(check int) "sum of maxima" 1700 (Livecheck.sum_max_bits sharded);
+  Alcotest.(check int) "peak: sum of maxima above the sample" 1700
+    (Livecheck.peak_bits ~sampled:1000 sharded);
+  Alcotest.(check int) "peak: sample above the sum of maxima" 2000
+    (Livecheck.peak_bits ~sampled:2000 sharded);
+  Alcotest.(check int) "quiescent" 300 (Livecheck.quiescent_bits plain)
+
+let oks vs = List.map (fun (v : Livecheck.verdict) -> v.ok) vs
+
+let test_livecheck_verdicts () =
+  let b = Livecheck.bounds ~f:2 ~k:1 ~c:1 ~d_bits:512 in
+  Alcotest.(check (list bool)) "closed: at the ceiling and the floor"
+    [ true; true ]
+    (oks (Livecheck.closed_verdicts b ~peak:5120 ~quiescent:2560));
+  Alcotest.(check (list bool)) "closed: one bit over each" [ false; false ]
+    (oks (Livecheck.closed_verdicts b ~peak:5121 ~quiescent:2561));
+  let open_ ~per_key_peak ~peak ~quiescent =
+    oks (Livecheck.open_verdicts b ~keys:10 ~per_key_peak ~peak ~quiescent)
+  in
+  Alcotest.(check (list bool)) "open: within every budget" [ true; true; true ]
+    (open_ ~per_key_peak:5120 ~peak:51200 ~quiescent:51200);
+  Alcotest.(check (list bool)) "open: over every budget"
+    [ false; false; false ]
+    (open_ ~per_key_peak:5121 ~peak:51201 ~quiescent:51201)
+
+let test_livecheck_baseline_gate () =
+  let dir = Filename.get_temp_dir_name () in
+  let current = Filename.temp_file ~temp_dir:dir "sb-current" ".json" in
+  let baseline = Filename.temp_file ~temp_dir:dir "sb-baseline" ".json" in
+  let write file ~ms ~gate =
+    Sb_util.Jsonx.write file
+      Sb_util.Jsonx.
+        [ ("ms_per_op", float ms); ("p99_ms", float 20.0);
+          ("gate_min_throughput_ops_s", float gate);
+          ("gate_max_p99_ms", float 50.0) ]
+  in
+  let gate () =
+    let within, gates =
+      Livecheck.baseline_gate ~current ~baseline:current ~throughput:1000.0
+        ~p99:20.0
+    in
+    (within, oks gates)
+  in
+  write current ~ms:1.0 ~gate:900.0;
+  Alcotest.(check (pair bool (list bool))) "passes on its own output"
+    (true, [ true; true ]) (gate ());
+  let doctored () =
+    let within, gates =
+      Livecheck.baseline_gate ~current ~baseline ~throughput:1000.0 ~p99:20.0
+    in
+    (within, oks gates)
+  in
+  write baseline ~ms:0.5 ~gate:900.0;
+  Alcotest.(check (pair bool (list bool))) "fails a halved ms_per_op"
+    (false, [ true; true ]) (doctored ());
+  write baseline ~ms:1.0 ~gate:2000.0;
+  Alcotest.(check (pair bool (list bool))) "fails a raised throughput gate"
+    (true, [ false; true ]) (doctored ());
+  Sys.remove baseline;
+  Alcotest.(check (pair bool (list bool))) "a missing baseline passes"
+    (true, []) (doctored ());
+  Sys.remove current
+
 (* ------------------------------------------------------------------ *)
 (* Live fault plane (socket-layer hooks + disk faults)                 *)
 (* ------------------------------------------------------------------ *)
 
-module Live = Sb_faults.Live
-module Netfault = Sb_service.Netfault
-module SWire = Sb_service.Wire
 
 let data_frame i =
   SWire.encode_msg
@@ -705,7 +856,11 @@ let () =
             test_fifo_unordered_equivalence;
         ] );
       ( "chaos",
-        [ Alcotest.test_case "campaign smoke" `Quick test_chaos_smoke ] );
+        [
+          Alcotest.test_case "campaign smoke" `Quick test_chaos_smoke;
+          Alcotest.test_case "catalogue arms the premature-gc monitor" `Quick
+            test_chaos_catches_premature_gc;
+        ] );
       ( "byzantine",
         [
           Alcotest.test_case "plan budget gate" `Quick test_plan_byz_validate;
@@ -713,6 +868,17 @@ let () =
             test_chaos_byz_within_budget;
           Alcotest.test_case "over-budget refuted+shrunk" `Quick
             test_chaos_byz_over_budget_refuted;
+        ] );
+      ( "livecheck",
+        [
+          Alcotest.test_case "nearest-rank latency" `Quick
+            test_livecheck_latency;
+          Alcotest.test_case "Theorem 2 ceiling and floor" `Quick
+            test_livecheck_bounds;
+          Alcotest.test_case "storage from the stats rounds" `Quick
+            test_livecheck_storage;
+          Alcotest.test_case "bound verdicts" `Quick test_livecheck_verdicts;
+          Alcotest.test_case "baseline gate" `Quick test_livecheck_baseline_gate;
         ] );
       ( "live",
         [

@@ -72,6 +72,10 @@ let gen_desc =
         (fun pieces ts -> D.Rateless_gc { pieces; ts })
         Gen.(list_size (int_bound 4) gen_block)
         gen_ts;
+      Gen.map2
+        (fun chunks ts -> D.Rw_write { chunks; ts })
+        Gen.(list_size (int_bound 3) gen_chunk)
+        gen_ts;
     ]
 
 let gen_nature : Wire.nature Gen.t =
@@ -207,16 +211,24 @@ let test_reader_chunking =
          List.length !got = List.length msgs
          && List.for_all2 Wire.equal_msg msgs (List.rev !got)))
 
-(* Whether [encode_msg ~version:v] accepts the message at all:
-   [Reject] is v2+; batch containers and keyed request/response
-   traffic are v3+ (the writer raises rather than silently dropping a
-   key). *)
-let encodable_at ~v = function
-  | Wire.Reject _ -> v >= 2
-  | Wire.Req_batch _ | Wire.Resp_batch _ -> v >= 3
-  | Wire.Request { rq_key; _ } -> v >= 3 || rq_key = ""
-  | Wire.Response { rs_key; _ } -> v >= 3 || rs_key = ""
-  | _ -> true
+(* One rule for what each version can carry: [Wire.encodable] holds
+   exactly when [encode_msg] at that version does not raise. *)
+let test_encodable_rule =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"encodable holds exactly when encode_msg does not raise" gen_msg
+       (fun msg ->
+         List.for_all
+           (fun version ->
+             let raises =
+               match Wire.encode_msg ~version msg with
+               | _ -> false
+               | exception Invalid_argument _ -> true
+             in
+             Wire.encodable ~version msg = not raises)
+           (List.init
+              (Wire.version - Wire.min_version + 1)
+              (fun i -> Wire.min_version + i))))
 
 (* What a v1 frame can carry: the handshake schema fields are dropped
    (a v1 peer could not read them), as is the v3 per-shard stats
@@ -233,7 +245,7 @@ let test_roundtrip_v1 =
     (QCheck2.Test.make ~count:300
        ~name:"v1 encoding round-trips to the v1 projection" gen_msg
        (fun msg ->
-         if not (encodable_at ~v:1 msg) then true
+         if not (Wire.encodable ~version:1 msg) then true
          else
            match
              Wire.decode_msg (body_of_frame (Wire.encode_msg ~version:1 msg))
@@ -711,6 +723,28 @@ let test_mixed_version_cluster () =
       Alcotest.(check bool) "weakly regular across versions" true
         (is_ok (Sb_spec.Regularity.check_weak history)))
 
+(* An rw write has no encoding below v4.  Towards a daemon pinned to v3
+   (which the SDK ends up speaking v1 to) the write's snapshot round
+   gets through, its overwrite round is dropped, and the write fails at
+   its deadline instead of raising out of the client. *)
+let test_rw_write_below_v4_dropped () =
+  let value_bytes = 32 and f = 1 in
+  let algorithm, cfg =
+    Sb_experiments.Catalog.(build ~writers:1 Rw_regular) ~value_bytes ~f ~k:1
+  in
+  with_cluster ~wire_version:3 ~algorithm ~n:cfg.Common.n (fun sockdir ->
+      let base = Sdk.default_config ~n:cfg.Common.n ~f ~sockdir in
+      let value = Sb_experiments.Workloads.distinct_value ~value_bytes 1 in
+      let r =
+        Sdk.run_keyed ~algorithm ~seed:1
+          ~workload:[| [ ("", Trace.Write value) ] |]
+          { base with Sdk.rto_ms = 20; max_attempts = 0; deadline_ms = 1000 }
+      in
+      Alcotest.(check int) "the write did not complete" 0 r.Sdk.ops_completed;
+      match r.Sdk.failures with
+      | [ { Sdk.fl_reason = Sdk.Deadline_expired; _ } ] -> ()
+      | fs -> Alcotest.failf "expected one deadline, got %d failures" (List.length fs))
+
 (* A peer claiming our schema version with a different layout hash is
    drifted: the daemon answers with a typed [Reject] instead of
    misdecoding its frames later. *)
@@ -1004,6 +1038,7 @@ let () =
         [
           test_roundtrip;
           test_roundtrip_v1;
+          test_encodable_rule;
           test_reader_chunking;
           test_reader_adversarial;
           test_desc_semantic_roundtrip;
@@ -1044,5 +1079,7 @@ let () =
             test_mixed_version_cluster;
           Alcotest.test_case "drifted schema hash gets a typed reject" `Quick
             test_schema_hash_reject;
+          Alcotest.test_case "rw write towards a v3 peer is dropped" `Quick
+            test_rw_write_below_v4_dropped;
         ] );
     ]
