@@ -1197,9 +1197,10 @@ let serve_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "statedir" ] ~docv:"DIR"
-          ~doc:"Persist object state + incarnation here (atomically, after \
-                every mutating RMW); a restart over persisted state recovers \
-                into a fresh incarnation.")
+          ~doc:"Persist object state + incarnation here, atomically: each \
+                shard an event-loop round dirtied is saved once, before that \
+                round's responses are sent.  A restart over persisted state \
+                recovers into a fresh incarnation.")
   in
   let cluster =
     Arg.(

@@ -316,7 +316,7 @@ let protocol_core path =
       "lib/spec/"; "lib/kv/" ]
   || List.exists (ends_with path)
        [ "lib/service/wire.ml"; "lib/service/server_core.ml";
-         "lib/service/client_core.ml" ]
+         "lib/service/client_core.ml"; "lib/service/conn.ml" ]
 
 let rules_for path =
   let core = protocol_core path in

@@ -84,7 +84,9 @@ val rules_for : string -> rule list
 (** The rules {!lint_tree} applies to a repo-relative path: the
     determinism and ordering rules on protocol cores ([lib/sim],
     [lib/registers], [lib/storage], [lib/quorums], [lib/msgnet],
-    [lib/spec], [lib/kv], and the transport-agnostic service cores),
+    [lib/spec], [lib/kv], the transport-agnostic service cores and the
+    shared connection [lib/service/conn.ml], which takes its time from
+    the caller),
     [hashtbl-order] additionally on the sanitizers, [wire-catchall] on
     [lib/service], and [marshal] everywhere. *)
 

@@ -65,7 +65,7 @@ let hooks ?(seed = 1) (plan : Plan.t) : Netfault.t =
     (* Handshake frames always pass: faults exercise the data plane,
        not version negotiation (which has its own mixed-version
        scenarios). *)
-    if Netfault.is_handshake frame then Netfault.Pass
+    if Wire.is_handshake_frame frame then Netfault.Pass
     else
       let now = now_ms () in
       match Plan.isolation plan ~now server with

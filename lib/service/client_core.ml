@@ -13,6 +13,11 @@ module Mailbox = struct
     >= quorum
 
   let responses_for t ~tickets = List.filter_map (find t) tickets
+
+  let consume t ~tickets =
+    let rs = responses_for t ~tickets in
+    List.iter (Hashtbl.remove t) tickets;
+    rs
 end
 
 module Retransmit = struct

@@ -22,6 +22,12 @@ module Mailbox : sig
   val responses_for :
     t -> tickets:int list -> (int * Sb_sim.Rmwdesc.resp) list
   (** In ticket-list order; only tickets with responses. *)
+
+  val consume :
+    t -> tickets:int list -> (int * Sb_sim.Rmwdesc.resp) list
+  (** {!responses_for}, then forget every listed ticket: an await that
+      returned never reads its tickets again, so a client that consumes
+      them keeps only the responses still awaited. *)
 end
 
 (** Per-ticket retransmission timers with exponential backoff.  The

@@ -1,0 +1,144 @@
+type t = {
+  fd : Unix.file_descr;
+  hooks : Netfault.t;
+  server : int;
+  reader : Wire.Reader.t;
+  inbuf : bytes;  (* every read lands here *)
+  mutable out : bytes;  (* [out.[sent, len)] waits for the socket *)
+  mutable sent : int;
+  mutable len : int;
+  delayed : (float * bytes) Queue.t;
+      (* (due ms, chunk), in send order.  Once the queue is non-empty
+         every later chunk waits behind it, so the byte stream keeps its
+         order however the hooks slice and delay it. *)
+  mutable closing : bool;
+  mutable closed : bool;
+  mutable eof : bool;
+}
+
+let create ?max_version ~hooks ~server fd =
+  {
+    fd;
+    hooks;
+    server;
+    reader = Wire.Reader.create ?max_version ();
+    inbuf = Bytes.create 65536;
+    out = Bytes.create 256;
+    sent = 0;
+    len = 0;
+    delayed = Queue.create ();
+    closing = false;
+    closed = false;
+    eof = false;
+  }
+
+let fd c = c.fd
+let closing c = c.closing
+let closed c = c.closed
+let eof c = c.eof
+let pending c = c.len > c.sent
+let drained c = (not (pending c)) && Queue.is_empty c.delayed
+
+let close c =
+  if not c.closed then begin
+    c.closing <- true;
+    c.closed <- true;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  end
+
+let close_when_drained c = c.closing <- true
+
+(* ------------------------------------------------------------------ *)
+(* Output                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let append c chunk =
+  let n = Bytes.length chunk in
+  if c.len + n > Bytes.length c.out then begin
+    (* Move the unsent bytes to the front, growing the buffer only when
+       they and the chunk do not fit. *)
+    let live = c.len - c.sent in
+    let cap = Bytes.length c.out in
+    let dst =
+      if live + n > cap then Bytes.create (max (live + n) (2 * cap)) else c.out
+    in
+    Bytes.blit c.out c.sent dst 0 live;
+    c.out <- dst;
+    c.sent <- 0;
+    c.len <- live
+  end;
+  Bytes.blit chunk 0 c.out c.len n;
+  c.len <- c.len + n
+
+let push c ~now (delay_ms, chunk) =
+  if delay_ms <= 0 && Queue.is_empty c.delayed then append c chunk
+  else Queue.add (now +. float_of_int delay_ms, chunk) c.delayed
+
+let send c ~now frame =
+  (* A closing connection's stream may end in a truncated frame: bytes
+     appended after it would complete that frame with the next frame's
+     header — silent corruption, not loss.  So once closing, frames are
+     dropped before the hook sees them. *)
+  if not c.closing then
+    match c.hooks.Netfault.nf_frame ~server:c.server frame with
+    | Netfault.Pass -> push c ~now (0, frame)
+    | Netfault.Drop -> ()
+    | Netfault.Emit segments -> List.iter (push c ~now) segments
+    | Netfault.Emit_close segments ->
+      List.iter (push c ~now) segments;
+      c.closing <- true
+
+(* The slow close lands once the last queued byte has left. *)
+let settle c = if c.closing && drained c then close c
+
+let tick c ~now =
+  let rec release () =
+    match Queue.peek_opt c.delayed with
+    | Some (due, chunk) when due <= now ->
+      ignore (Queue.pop c.delayed);
+      append c chunk;
+      release ()
+    | _ -> ()
+  in
+  if not c.closed then begin
+    release ();
+    settle c
+  end
+
+let flush c =
+  if (not c.closed) && pending c then
+    match Unix.write c.fd c.out c.sent (c.len - c.sent) with
+    | n ->
+      c.sent <- c.sent + n;
+      if c.sent = c.len then begin
+        c.sent <- 0;
+        c.len <- 0
+      end;
+      settle c
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error _ -> close c
+
+(* ------------------------------------------------------------------ *)
+(* Input                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let receive c ~while_closing handle =
+  if not c.closed then
+    match Unix.read c.fd c.inbuf 0 (Bytes.length c.inbuf) with
+    | 0 ->
+      c.eof <- true;
+      close c
+    | n ->
+      Wire.Reader.feed c.reader c.inbuf 0 n;
+      let rec drain () =
+        if (not c.closed) && (while_closing || not c.closing) then
+          match Wire.Reader.next c.reader with
+          | Ok None -> ()
+          | Ok (Some msg) ->
+            handle msg;
+            drain ()
+          | Error _ -> close c
+      in
+      drain ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error _ -> close c

@@ -15,8 +15,8 @@ let statefile_shard ~statedir ~shards i j =
 
 (* ------------------------------------------------------------------ *)
 (* Durable state: a checksummed [Wire.persisted] container in a file,   *)
-(* written atomically (temp + fsync + rename + directory fsync) after   *)
-(* every mutating RMW.                                                  *)
+(* written atomically (temp + fsync + rename + directory fsync) once    *)
+(* per event-loop round for every shard the round dirtied.              *)
 (* ------------------------------------------------------------------ *)
 
 let fsync_dir dir =
@@ -128,20 +128,9 @@ let crash_now cp =
 (* ------------------------------------------------------------------ *)
 
 type conn = {
-  fd : Unix.file_descr;
-  reader : Wire.Reader.t;
-  out : Buffer.t;
-  delayed : (float * bytes) Queue.t;
-      (** Fault-delayed output segments, FIFO by enqueue order with a
-          per-segment due time — order is preserved (a later segment
-          never overtakes an earlier one), so the byte stream stays
-          frame-decodable however the hooks slice it. *)
+  io : Conn.t;
   mutable peer_version : int;
       (** Negotiated at [Hello]; replies are framed at this version. *)
-  mutable closing : bool;
-      (** Close after the out buffer drains (a [Reject] was sent, or a
-          fault hook asked for a slow close). *)
-  mutable closed : bool;
 }
 
 (* One shard: a keyed [Server_core] with its own state file and
@@ -187,45 +176,9 @@ let server_incarnation srv =
 
 let now_ms srv = (Unix.gettimeofday () -. srv.started) *. 1000.0
 
-(* Queue output behind any fault-delayed segments so bytes never
-   reorder; segments with no pending predecessor and no delay go
-   straight to the out buffer. *)
-let push_out srv conn segments =
-  let now = now_ms srv in
-  List.iter
-    (fun (delay_ms, chunk) ->
-      if delay_ms <= 0 && Queue.is_empty conn.delayed then
-        Buffer.add_bytes conn.out chunk
-      else Queue.add (now +. float_of_int (max 0 delay_ms), chunk) conn.delayed)
-    segments
-
-let flush_delayed srv conn =
-  let now = now_ms srv in
-  let rec go () =
-    match Queue.peek_opt conn.delayed with
-    | Some (due, chunk) when due <= now ->
-      ignore (Queue.pop conn.delayed);
-      Buffer.add_bytes conn.out chunk;
-      go ()
-    | _ -> ()
-  in
-  go ()
-
 let enqueue srv conn msg =
-  let frame = Wire.encode_msg ~version:conn.peer_version msg in
-  match srv.hooks.Netfault.nf_frame ~server:srv.sid frame with
-  | Netfault.Pass -> push_out srv conn [ (0, frame) ]
-  | Netfault.Drop -> ()
-  | Netfault.Emit segments -> push_out srv conn segments
-  | Netfault.Emit_close segments ->
-    push_out srv conn segments;
-    conn.closing <- true
-
-let close_conn conn =
-  if not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
+  Conn.send conn.io ~now:(now_ms srv)
+    (Wire.encode_msg ~version:conn.peer_version msg)
 
 let persist srv sh =
   match sh.sh_path with
@@ -257,64 +210,23 @@ let persist srv sh =
          ~version file p;
        if armed && cp.cp_stage = Crash_after_rename then crash_now cp)
 
-(* Connect-time schema negotiation.  A v1 client's [Hello] carries no
-   schema: serve it at v1 framing.  A v2+ client is served at
-   min(ours, theirs) — cross-version pairs are certified
-   decode-compatible at build time by [spacebounds schema check] — but
-   a peer claiming {e our} schema version with a {e different} layout
-   hash is drifted, and gets a typed [Reject] instead of decode
-   crashes later. *)
-let handle_hello srv conn (peer : Wire.peer_schema option) =
-  match peer with
-  | Some ps
-    when ps.Wire.ps_version = srv.wire_version
-         && not (String.equal ps.Wire.ps_hash srv.own_schema.Wire.ps_hash) ->
-    conn.peer_version <- min srv.wire_version (max 2 Wire.min_version);
-    enqueue srv conn
-      (Wire.Reject
-         {
-           rj_code = Wire.Incompatible_schema;
-           rj_detail =
-             Printf.sprintf "schema v%d hash mismatch: ours %s, peer %s"
-               srv.wire_version
-               (Sch.hash_hex (Wire.schema_v ~version:srv.wire_version))
-               (String.concat ""
-                  (List.map
-                     (fun c -> Printf.sprintf "%02x" (Char.code c))
-                     (List.init
-                        (String.length ps.Wire.ps_hash)
-                        (String.get ps.Wire.ps_hash))));
-         });
-    conn.closing <- true
-  | Some ps when ps.Wire.ps_version < Wire.min_version ->
-    conn.peer_version <- min srv.wire_version (max 2 Wire.min_version);
-    enqueue srv conn
-      (Wire.Reject
-         {
-           rj_code = Wire.Unsupported_version;
-           rj_detail =
-             Printf.sprintf "peer schema v%d below minimum %d"
-               ps.Wire.ps_version Wire.min_version;
-         });
-    conn.closing <- true
-  | _ ->
-    let negotiated =
-      match peer with
-      | None -> 1
-      | Some ps -> max 1 (min srv.wire_version ps.Wire.ps_version)
-    in
-    conn.peer_version <- negotiated;
-    enqueue srv conn
-      (Wire.Welcome
-         {
-           server = srv.sid;
-           incarnation = server_incarnation srv;
-           schema = (if negotiated >= 2 then Some srv.own_schema else None);
-         })
+(* Connect-time schema negotiation ([Wire.answer_hello]): cross-version
+   pairs are certified decode-compatible at build time by [spacebounds
+   schema check]; a drifted peer gets a typed [Reject] instead of decode
+   crashes later, and the connection closes once the reject is out. *)
+let handle_hello srv conn peer =
+  let version, reply =
+    Wire.answer_hello ~serving:srv.own_schema ~server:srv.sid
+      ~incarnation:(server_incarnation srv) peer
+  in
+  conn.peer_version <- version;
+  enqueue srv conn reply;
+  match reply with
+  | Wire.Reject _ -> Conn.close_when_drained conn.io
+  | _ -> ()
 
-(* Apply one keyed request to its shard; the caller decides when the
-   touched shard is persisted (per request for singles, once per frame
-   for batches — the batch is what amortises the two fsyncs). *)
+(* Apply one keyed request to its shard.  The caller marks the touched
+   shard dirty; the event loop persists it once per round. *)
 let apply_request srv (rq : Wire.request) =
   let sh = shard_of_key srv rq.Wire.rq_key in
   let rmw = D.apply rq.Wire.rq_desc in
@@ -363,7 +275,7 @@ let handle_msg srv conn (msg : Wire.msg) =
     (* A keyed RMW on a connection negotiated below v3 has no reply
        framing that can echo the key; a conforming client never does
        this, so drop the peer rather than mis-answer. *)
-    close_conn conn
+    Conn.close conn.io
   | Wire.Request rq ->
     let sh, dirty, resp = apply_request srv rq in
     if dirty then sh.sh_dirty <- true;
@@ -371,7 +283,7 @@ let handle_msg srv conn (msg : Wire.msg) =
   | Wire.Req_batch reqs
     when conn.peer_version < 3
          && List.exists (fun r -> r.Wire.rq_key <> "") reqs ->
-    close_conn conn
+    Conn.close conn.io
   | Wire.Req_batch reqs ->
     (* Apply in list order, answer with one frame.  Touched shards are
        only marked dirty here; the event loop group-commits them after
@@ -401,37 +313,7 @@ let handle_msg srv conn (msg : Wire.msg) =
   | Wire.Welcome _ | Wire.Response _ | Wire.Stats _ | Wire.Reject _
   | Wire.Resp_batch _ ->
     (* Server-to-client messages arriving at a server: drop the peer. *)
-    close_conn conn
-
-let read_conn srv conn =
-  let buf = Bytes.create 65536 in
-  match Unix.read conn.fd buf 0 (Bytes.length buf) with
-  | 0 -> close_conn conn
-  | n ->
-    Wire.Reader.feed conn.reader buf 0 n;
-    let rec drain () =
-      if (not conn.closed) && not conn.closing then
-        match Wire.Reader.next conn.reader with
-        | Ok None -> ()
-        | Ok (Some msg) ->
-          handle_msg srv conn msg;
-          drain ()
-        | Error _ -> close_conn conn
-    in
-    drain ()
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> close_conn conn
-
-let write_conn conn =
-  let pending = Buffer.to_bytes conn.out in
-  match Unix.write conn.fd pending 0 (Bytes.length pending) with
-  | n ->
-    Buffer.clear conn.out;
-    if n < Bytes.length pending then
-      Buffer.add_subbytes conn.out pending n (Bytes.length pending - n)
-    else if conn.closing && Queue.is_empty conn.delayed then close_conn conn
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> close_conn conn
+    Conn.close conn.io
 
 let accept_conn srv =
   match Unix.accept srv.listen_fd with
@@ -445,13 +327,10 @@ let accept_conn srv =
       Unix.set_nonblock fd;
       srv.conns <-
         {
-          fd;
-          reader = Wire.Reader.create ~max_version:srv.wire_version ();
-          out = Buffer.create 256;
-          delayed = Queue.create ();
+          io =
+            Conn.create ~max_version:srv.wire_version ~hooks:srv.hooks
+              ~server:srv.sid fd;
           peer_version = 1;
-          closing = false;
-          closed = false;
         }
         :: srv.conns
     end
@@ -559,32 +438,28 @@ let event_loop ~tick ~should_stop srvs =
   while not !finished do
     if should_stop () then finished := true
     else begin
-      List.iter (fun s -> List.iter (flush_delayed s) s.conns) srvs;
       List.iter
         (fun s ->
-          List.iter
-            (fun c ->
-              if
-                c.closing && (not c.closed)
-                && Buffer.length c.out = 0
-                && Queue.is_empty c.delayed
-              then close_conn c)
-            s.conns)
+          let now = now_ms s in
+          List.iter (fun c -> Conn.tick c.io ~now) s.conns)
         srvs;
-      (* Prune after the slow-close sweep: a freshly closed fd in the
-         select set is EBADF, which would take the whole process down. *)
-      List.iter (fun s -> s.conns <- List.filter (fun c -> not c.closed) s.conns)
+      (* Prune after the ticks, which land slow closes: a freshly closed
+         fd in the select set is EBADF, which would take the whole
+         process down. *)
+      List.iter
+        (fun s ->
+          s.conns <- List.filter (fun c -> not (Conn.closed c.io)) s.conns)
         srvs;
       let rds =
         List.concat_map
-          (fun s -> s.listen_fd :: List.map (fun c -> c.fd) s.conns)
+          (fun s -> s.listen_fd :: List.map (fun c -> Conn.fd c.io) s.conns)
           srvs
       in
       let wrs =
         List.concat_map
           (fun s ->
             List.filter_map
-              (fun c -> if Buffer.length c.out > 0 then Some c.fd else None)
+              (fun c -> if Conn.pending c.io then Some (Conn.fd c.io) else None)
               s.conns)
           srvs
       in
@@ -593,9 +468,11 @@ let event_loop ~tick ~should_stop srvs =
         List.iter
           (fun s ->
             if List.memq s.listen_fd readable then accept_conn s;
+            (* A closing connection applies no further requests. *)
             List.iter
               (fun c ->
-                if (not c.closed) && List.memq c.fd readable then read_conn s c)
+                if List.memq (Conn.fd c.io) readable then
+                  Conn.receive c.io ~while_closing:false (handle_msg s c))
               s.conns)
           srvs;
         (* Group commit: every shard dirtied by this round's read phase
@@ -616,15 +493,9 @@ let event_loop ~tick ~should_stop srvs =
           srvs;
         (* Opportunistic flush: don't sit on this round's responses
            until the next select round says the fd is writable — a
-           freshly drained socket almost always is, and write_conn
+           freshly drained socket almost always is, and [Conn.flush]
            already treats EAGAIN as "try again later". *)
-        List.iter
-          (fun s ->
-            List.iter
-              (fun c ->
-                if (not c.closed) && Buffer.length c.out > 0 then write_conn c)
-              s.conns)
-          srvs
+        List.iter (fun s -> List.iter (fun c -> Conn.flush c.io) s.conns) srvs
       | exception Unix.Unix_error (EINTR, _, _) -> ()
     end
   done
@@ -680,7 +551,7 @@ let run ?(dedup = true) ?(wire_version = Wire.version) ?(shards = 1)
   end;
   List.iter
     (fun s ->
-      List.iter close_conn s.conns;
+      List.iter (fun c -> Conn.close c.io) s.conns;
       (try Unix.close s.listen_fd with Unix.Unix_error _ -> ());
       try Unix.unlink (sockpath ~sockdir s.sid) with Unix.Unix_error _ -> ())
     srvs

@@ -15,9 +15,7 @@
     process — daemon, SDK, tests — computes the same key → shard mapping
     without coordination.  Each shard has its own state file, its own
     incarnation, and its own at-most-once table.  A batch frame is
-    applied in list order and each touched shard is persisted once per
-    frame — the batch is what amortises the two [fsync]s per mutation
-    that bound the single-request path.
+    applied in list order.
 
     By default every server's shards share one event loop (the
     historical single-threaded daemon).  [?domains] spreads the hosted
@@ -27,8 +25,10 @@
     path.  (This box's 1-CPU perf trap applies: multicore speedup gates
     arm only at ≥2 cores.)
 
-    With [statedir], object state and incarnation are persisted
-    (atomically, temp + rename) after every mutating RMW; a daemon
+    With [statedir], each shard's object state and incarnation are
+    persisted atomically (temp file, fsync, rename, directory fsync).
+    The daemon group-commits: each shard an event-loop round dirtied is
+    persisted once, before that round's responses are written.  A daemon
     restarted over a persisted state recovers into a fresh incarnation,
     exactly like [Recover_server] in the simulated transport.  Killing
     the process loses the at-most-once table — the fault model of the
@@ -44,7 +44,11 @@
     handshake carries the peer's schema version + hash (v2+); a peer
     claiming the daemon's own schema version with a different layout
     hash gets a typed [Wire.Reject] and a clean close instead of decode
-    crashes mid-stream. *)
+    crashes mid-stream.
+
+    Every accepted connection is a {!Conn}: docs/SERVICE.md,
+    "Connections", describes its ordered output, the slow close and the
+    handshake functions ({!Wire.answer_hello}). *)
 
 val sockpath : sockdir:string -> int -> string
 (** [sockdir/server-<i>.sock] — where server [i] listens. *)

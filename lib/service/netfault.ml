@@ -21,16 +21,3 @@ let none =
     nf_connect = (fun ~server:_ -> true);
     nf_frame = (fun ~server:_ _ -> Pass);
   }
-
-(* Frame layout: u32 length, then u8 version, u8 tag.  A policy that
-   wants to spare the handshake peeks at the tag; a frame too short to
-   carry one is left to the peer's reader to reject. *)
-let frame_tag frame =
-  if Bytes.length frame < 6 then None else Some (Bytes.get_uint8 frame 5)
-
-let handshake_tags = [ 1; 2; 8 ]
-
-let is_handshake frame =
-  match frame_tag frame with
-  | Some tag -> List.mem tag handshake_tags
-  | None -> false

@@ -46,12 +46,3 @@ type t = {
 
 val none : t
 (** Pass-through hooks: fault-free behaviour, zero overhead. *)
-
-val frame_tag : bytes -> int option
-(** The wire tag of an encoded frame (byte 5, after the u32 length and
-    the version byte), if the frame is long enough to carry one. *)
-
-val is_handshake : bytes -> bool
-(** True for [Hello]/[Welcome]/[Reject] frames — policies pass these
-    through so fault campaigns exercise the data path, not the
-    (idempotent, retried-on-reconnect) handshake. *)

@@ -103,14 +103,7 @@ type client = {
 }
 
 type conn = {
-  fd : Unix.file_descr;
-  reader : Wire.Reader.t;
-  out : Buffer.t;
-  delayed : (float * bytes) Queue.t;
-      (* (due wall-ms, chunk): fault-delayed output segments.  Once the
-         queue is non-empty every later chunk appends behind it, so
-         byte order on the wire is always preserved. *)
-  mutable closing : bool;  (* slow-close once out + delayed drain *)
+  io : Conn.t;
   mutable pending : Wire.request list;  (* reversed batch buffer *)
   mutable pending_n : int;
   mutable pending_since : float;  (* wall-ms of the oldest pending req *)
@@ -189,9 +182,6 @@ let tick eng =
 (* Connections                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let own_schema =
-  { Wire.ps_version = Wire.version; ps_hash = Wire.schema_hash }
-
 (* Escalating jittered reconnect backoff: reconnect_ms * 2^streak,
    capped at 32x, plus seeded jitter so a fleet of clients does not
    retry a dead peer in lockstep. *)
@@ -205,43 +195,11 @@ let dial_failed eng s =
   eng.fail_streak.(s) <- eng.fail_streak.(s) + 1;
   eng.conns.(s) <- Down { retry_at = now_ms eng +. retry_delay eng s }
 
-let push_out eng c segments =
-  List.iter
-    (fun (delay_ms, chunk) ->
-      if delay_ms <= 0 && Queue.is_empty c.delayed then
-        Buffer.add_bytes c.out chunk
-      else Queue.add (now_ms eng +. float_of_int delay_ms, chunk) c.delayed)
-    segments
-
-let flush_delayed eng c =
-  let now = now_ms eng in
-  let rec go () =
-    match Queue.peek_opt c.delayed with
-    | Some (due, chunk) when due <= now ->
-      ignore (Queue.pop c.delayed);
-      Buffer.add_bytes c.out chunk;
-      go ()
-    | _ -> ()
-  in
-  go ()
-
-let send_frame eng s c frame =
-  (* A slow-closing connection already has a truncated frame as its
-     stream tail; appending anything more would let the peer's reader
-     complete that frame with the next frame's header bytes — silent
-     payload corruption, not loss.  Drop instead; retransmission takes
-     over once the close lands and the server is re-dialled. *)
-  if c.closing then ()
-  else begin
-    eng.frames_sent <- eng.frames_sent + 1;
-    match eng.hooks.Netfault.nf_frame ~server:s frame with
-    | Netfault.Pass -> push_out eng c [ (0, frame) ]
-    | Netfault.Drop -> ()
-    | Netfault.Emit segs -> push_out eng c segs
-    | Netfault.Emit_close segs ->
-      push_out eng c segs;
-      c.closing <- true
-  end
+(* A closing connection drops the frame; retransmission takes over once
+   the close lands and the server is re-dialled. *)
+let send_frame eng c frame =
+  if not (Conn.closing c.io) then eng.frames_sent <- eng.frames_sent + 1;
+  Conn.send c.io ~now:(now_ms eng) frame
 
 let try_connect eng s =
   if not (eng.hooks.Netfault.nf_connect ~server:s) then dial_failed eng s
@@ -253,11 +211,7 @@ let try_connect eng s =
       Unix.set_nonblock fd;
       let c =
         {
-          fd;
-          reader = Wire.Reader.create ();
-          out = Buffer.create 256;
-          delayed = Queue.create ();
-          closing = false;
+          io = Conn.create ~hooks:eng.hooks ~server:s fd;
           pending = [];
           pending_n = 0;
           pending_since = 0.0;
@@ -266,9 +220,8 @@ let try_connect eng s =
       eng.welcomed.(s) <- false;
       (* Hello optimistically at the last version this server spoke
          (initially ours); v1 framing drops the schema field itself. *)
-      send_frame eng s c
-        (Wire.encode_msg ~version:eng.peer_version.(s)
-           (Wire.Hello { client = 0; schema = Some own_schema }));
+      send_frame eng c
+        (Wire.encode_msg ~version:eng.peer_version.(s) Wire.hello);
       eng.conns.(s) <- Up c;
       eng.connects.(s) <- eng.connects.(s) + 1;
       if eng.connects.(s) > 1 then eng.reconnects <- eng.reconnects + 1
@@ -279,7 +232,7 @@ let try_connect eng s =
 let mark_down eng s =
   (match eng.conns.(s) with
    | Up c ->
-     (try Unix.close c.fd with Unix.Unix_error _ -> ());
+     Conn.close c.io;
      (* A close before [Welcome] while we were speaking v2+ is how an
         old daemon refuses frames it cannot decode: fall back to v1 for
         this server (sticky) and let the reconnect retry the
@@ -317,13 +270,13 @@ let flush_batch eng s c =
   | [ rq ] ->
     c.pending <- [];
     c.pending_n <- 0;
-    send_frame eng s c
+    send_frame eng c
       (Wire.encode_msg ~version:eng.peer_version.(s) (Wire.Request rq))
   | rqs ->
     c.pending <- [];
     c.pending_n <- 0;
     eng.batches_sent <- eng.batches_sent + 1;
-    send_frame eng s c
+    send_frame eng c
       (Wire.encode_msg ~version:eng.peer_version.(s)
          (Wire.Req_batch (List.rev rqs)))
 
@@ -341,7 +294,7 @@ let send_to eng s msg =
   match eng.conns.(s) with
   | Up c when encodable eng s msg ->
     flush_batch eng s c;
-    send_frame eng s c (Wire.encode_msg ~version:eng.peer_version.(s) msg)
+    send_frame eng c (Wire.encode_msg ~version:eng.peer_version.(s) msg)
   | Up _ | Down _ -> ()
 
 (* Triggered requests route here: buffered while batching is armed for
@@ -353,7 +306,7 @@ let enqueue_req eng s (rq : Wire.request) =
     when eng.cfg.batch_max > 1
          && eng.welcomed.(s)
          && eng.peer_version.(s) >= 3
-         && not c.closing ->
+         && not (Conn.closing c.io) ->
     if c.pending = [] then c.pending_since <- now_ms eng;
     c.pending <- rq :: c.pending;
     c.pending_n <- c.pending_n + 1;
@@ -425,7 +378,7 @@ let transport =
       (fun eng tickets quorum -> Mailbox.satisfied eng.responses ~tickets ~quorum);
     collect =
       (fun eng _ tickets ->
-        let rs = Mailbox.responses_for eng.responses ~tickets in
+        let rs = Mailbox.consume eng.responses ~tickets in
         Rt.cancel_list eng.timers tickets;
         rs);
     started = (fun _ _ -> ());
@@ -512,26 +465,13 @@ let rec handle_inbound eng s (msg : Wire.msg) =
   match msg with
   | Wire.Welcome { server; incarnation; schema } ->
     if server = s then begin
-      (match schema with
-       | Some ps
-         when ps.Wire.ps_version = Wire.version
-              && not (String.equal ps.Wire.ps_hash Wire.schema_hash) ->
-         (* Same schema version, different layout: drifted peer. *)
-         schema_reject eng s
-           (Printf.sprintf "welcome schema v%d hash differs from ours"
-              ps.Wire.ps_version)
-       | Some ps ->
-         eng.welcomed.(s) <- true;
-         eng.peer_version.(s) <-
-           max 1 (min Wire.version ps.Wire.ps_version)
-       | None ->
-         (* v1 daemons have no schema field to send. *)
-         eng.welcomed.(s) <- true;
-         eng.peer_version.(s) <- 1);
-      if not eng.rejected.(s) then begin
+      match Wire.accept_welcome schema with
+      | Error drift -> schema_reject eng s drift
+      | Ok v ->
+        eng.welcomed.(s) <- true;
+        eng.peer_version.(s) <- v;
         eng.fail_streak.(s) <- 0;
         note_incarnation eng s incarnation
-      end
     end
   | Wire.Reject { rj_code; rj_detail } ->
     schema_reject eng s
@@ -546,42 +486,16 @@ let rec handle_inbound eng s (msg : Wire.msg) =
     (* Client-to-server traffic arriving at the client: drop the peer. *)
     mark_down eng s
 
+(* Only a ticket whose retransmission timer is still armed is awaited: a
+   late or duplicate reply, for a ticket already answered, collected or
+   abandoned, is not stored. *)
 and handle_response eng s (rs : Wire.response) =
   note_incarnation eng s rs.Wire.rs_incarnation;
-  Mailbox.record eng.responses ~ticket:rs.Wire.rs_ticket
-    ~obj:rs.Wire.rs_server rs.Wire.rs_resp;
-  Rt.cancel eng.timers rs.Wire.rs_ticket
-
-let read_conn eng s c =
-  let buf = Bytes.create 65536 in
-  match Unix.read c.fd buf 0 (Bytes.length buf) with
-  | 0 -> mark_down eng s
-  | n ->
-    Wire.Reader.feed c.reader buf 0 n;
-    let rec drain () =
-      match eng.conns.(s) with
-      | Down _ -> ()
-      | Up _ -> (
-        match Wire.Reader.next c.reader with
-        | Ok None -> ()
-        | Ok (Some msg) ->
-          handle_inbound eng s msg;
-          drain ()
-        | Error _ -> mark_down eng s)
-    in
-    drain ()
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> mark_down eng s
-
-let write_conn eng s c =
-  let pending = Buffer.to_bytes c.out in
-  match Unix.write c.fd pending 0 (Bytes.length pending) with
-  | n ->
-    Buffer.clear c.out;
-    if n < Bytes.length pending then
-      Buffer.add_subbytes c.out pending n (Bytes.length pending - n)
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> mark_down eng s
+  if Option.is_some (Rt.find eng.timers rs.Wire.rs_ticket) then begin
+    Mailbox.record eng.responses ~ticket:rs.Wire.rs_ticket
+      ~obj:rs.Wire.rs_server rs.Wire.rs_resp;
+    Rt.cancel eng.timers rs.Wire.rs_ticket
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The driver loop                                                      *)
@@ -600,6 +514,9 @@ let all_done eng =
    [Op_abandoned] — sweep every timer the slot still owns, and record
    the typed failure. *)
 let fail_op eng cl reason =
+  (match cl.fb.Engine.waiting with
+   | Some w -> ignore (Mailbox.consume eng.responses ~tickets:w.tickets)
+   | None -> ());
   match Engine.abandon cl.fb with
   | None -> ()
   | Some op ->
@@ -682,42 +599,42 @@ let fire_sampling eng =
     Array.iteri (fun s _ -> send_to eng s Wire.Stats_query) eng.conns
   end
 
+(* A connection that closed itself — end of file, a socket error, a
+   malformed frame, a landed slow close — is marked down once. *)
+let settle_conn eng s =
+  match eng.conns.(s) with
+  | Up c when Conn.closed c.io -> mark_down eng s
+  | Up _ | Down _ -> ()
+
 let select_round eng timeout =
+  let now = now_ms eng in
   let rds = ref [] and wrs = ref [] in
-  Array.iter
-    (fun st ->
-      match st with
-      | Up c ->
-        flush_delayed eng c;
-        rds := c.fd :: !rds;
-        if Buffer.length c.out > 0 then wrs := c.fd :: !wrs
-      | Down _ -> ())
-    eng.conns;
-  (match Unix.select !rds !wrs [] timeout with
-   | readable, writable, _ ->
-     Array.iteri
-       (fun s st ->
-         match st with
-         | Up c ->
-           if List.memq c.fd writable && Buffer.length c.out > 0 then
-             write_conn eng s c;
-           (match eng.conns.(s) with
-            | Up c when List.memq c.fd readable -> read_conn eng s c
-            | _ -> ())
-         | Down _ -> ())
-       eng.conns
-   | exception Unix.Unix_error (EINTR, _, _) -> ());
-  (* Slow-close sweep: an [Emit_close] connection drops once its
-     remaining output (buffered and delayed) has drained. *)
   Array.iteri
     (fun s st ->
       match st with
-      | Up c
-        when c.closing
-             && Buffer.length c.out = 0
-             && Queue.is_empty c.delayed -> mark_down eng s
-      | _ -> ())
-    eng.conns
+      | Up c ->
+        Conn.tick c.io ~now;
+        settle_conn eng s;
+        if not (Conn.closed c.io) then begin
+          rds := Conn.fd c.io :: !rds;
+          if Conn.pending c.io then wrs := Conn.fd c.io :: !wrs
+        end
+      | Down _ -> ())
+    eng.conns;
+  match Unix.select !rds !wrs [] timeout with
+  | readable, writable, _ ->
+    Array.iteri
+      (fun s st ->
+        match st with
+        | Up c ->
+          if List.memq (Conn.fd c.io) writable then Conn.flush c.io;
+          (* The SDK keeps reading replies until its own close lands. *)
+          if List.memq (Conn.fd c.io) readable then
+            Conn.receive c.io ~while_closing:true (handle_inbound eng s);
+          settle_conn eng s
+        | Down _ -> ())
+      eng.conns
+  | exception Unix.Unix_error (EINTR, _, _) -> ()
 
 (* A session tag with at least one bit set, fresh per engine and per
    process, shifted clear of every slot number. *)
@@ -794,6 +711,53 @@ let create ?(hooks = Netfault.none) ?(open_loop = false) ~algorithm ~seed
    retried once pinned at v1, mirroring the engine's sticky
    downgrade. *)
 let fetch_stats ?(timeout_ms = 5000) ~sockdir ~servers () =
+  (* One attempt over a fresh connection: [`Stats], [`Rejected],
+     [`Closed] (hung up before [Welcome] while we spoke v2+: an old
+     daemon refusing frames it cannot decode), [`Failed] (a socket
+     error) or [`Timeout] (the attempt's window passed, or the peer hung
+     up later). *)
+  let query c hello_v ~until =
+    let send v msg =
+      Conn.send c ~now:(Unix.gettimeofday () *. 1000.0)
+        (Wire.encode_msg ~version:v msg);
+      Conn.flush c
+    in
+    let result = ref None and welcomed = ref false in
+    let finish r =
+      result := Some r;
+      Conn.close c
+    in
+    let on_msg = function
+      | Wire.Welcome { schema; _ } when not !welcomed -> (
+        welcomed := true;
+        match Wire.accept_welcome schema with
+        | Ok v -> send v Wire.Stats_query
+        | Error _ -> finish `Rejected)
+      | Wire.Stats st -> finish (`Stats st)
+      | Wire.Reject _ -> finish `Rejected
+      | _ -> ()
+    in
+    (* v1 framing drops the schema field itself. *)
+    send hello_v Wire.hello;
+    let rec wait () =
+      match !result with
+      | Some r -> r
+      | None when Conn.closed c ->
+        if not (Conn.eof c) then `Failed
+        else if (not !welcomed) && hello_v > 1 then `Closed
+        else `Timeout
+      | None -> (
+        let remaining = until -. Unix.gettimeofday () in
+        if remaining <= 0.0 then `Timeout
+        else
+          match Unix.select [ Conn.fd c ] [] [] remaining with
+          | [], _, _ -> `Timeout
+          | _ ->
+            Conn.receive c ~while_closing:true on_msg;
+            wait ())
+    in
+    wait ()
+  in
   List.filter_map
     (fun s ->
       (* Budgeted per server: a slow or unreachable server exhausts its
@@ -806,69 +770,23 @@ let fetch_stats ?(timeout_ms = 5000) ~sockdir ~servers () =
         if Unix.gettimeofday () > deadline then None
         else
           let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+          let c = Conn.create ~hooks:Netfault.none ~server:s fd in
           (* Reads are select-bounded: a reply lost to a fault plane (or
              a wedged server) costs one short attempt, not a hang — the
              retry re-dials and re-queries from scratch. *)
-          let attempt_deadline = min deadline (Unix.gettimeofday () +. 0.5) in
+          let until = min deadline (Unix.gettimeofday () +. 0.5) in
           match
-            Unix.connect fd (ADDR_UNIX path);
-            let send v msg =
-              let frame = Wire.encode_msg ~version:v msg in
-              ignore (Unix.write fd frame 0 (Bytes.length frame))
-            in
-            (* v1 framing drops the schema field itself. *)
-            send hello_v (Wire.Hello { client = 0; schema = Some own_schema });
-            let reader = Wire.Reader.create () in
-            let buf = Bytes.create 65536 in
-            let negotiated = ref None in
-            let rec read_loop () =
-              match Wire.Reader.next reader with
-              | Ok (Some (Wire.Welcome { schema; _ })) when !negotiated = None
-                ->
-                let v =
-                  match schema with
-                  | Some ps -> max 1 (min Wire.version ps.Wire.ps_version)
-                  | None -> 1
-                in
-                negotiated := Some v;
-                send v Wire.Stats_query;
-                read_loop ()
-              | Ok (Some (Wire.Stats st)) -> `Stats st
-              | Ok (Some (Wire.Reject _)) -> `Rejected
-              | Ok (Some _) -> read_loop ()
-              | Ok None ->
-                let remaining = attempt_deadline -. Unix.gettimeofday () in
-                if remaining <= 0.0 then `Timeout
-                else begin
-                  match Unix.select [ fd ] [] [] remaining with
-                  | [], _, _ -> `Timeout
-                  | _ ->
-                    let n = Unix.read fd buf 0 (Bytes.length buf) in
-                    if n = 0 then
-                      (* Closed before [Welcome] while we spoke v2+: an
-                         old daemon refusing frames it cannot decode. *)
-                      if !negotiated = None && hello_v > 1 then `Closed
-                      else `Timeout
-                    else begin
-                      Wire.Reader.feed reader buf 0 n;
-                      read_loop ()
-                    end
-                end
-              | Error _ -> `Timeout
-            in
-            read_loop ()
+            Fun.protect
+              ~finally:(fun () -> Conn.close c)
+              (fun () ->
+                Unix.connect fd (ADDR_UNIX path);
+                query c hello_v ~until)
           with
-          | r -> (
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            match r with
-            | `Stats st -> Some st
-            | `Rejected -> None
-            | `Closed -> attempt 1
-            | `Timeout ->
-              if Unix.gettimeofday () > deadline then None
-              else attempt hello_v)
-          | exception Unix.Unix_error _ ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
+          | `Stats st -> Some st
+          | `Rejected -> None
+          | `Closed -> attempt 1
+          | `Timeout -> attempt hello_v
+          | `Failed | (exception Unix.Unix_error _) ->
             if Unix.gettimeofday () > deadline then None
             else begin
               Unix.sleepf 0.02;
@@ -956,9 +874,7 @@ let run_loop eng ~finished step =
   let wall_ms = now_ms eng in
   Array.iter
     (fun st ->
-      match st with
-      | Up c -> ( try Unix.close c.fd with Unix.Unix_error _ -> ())
-      | Down _ -> ())
+      match st with Up c -> Conn.close c.io | Down _ -> ())
     eng.conns;
   let final_stats =
     fetch_stats ~timeout_ms:5000 ~sockdir:eng.cfg.sockdir

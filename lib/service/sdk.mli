@@ -18,7 +18,11 @@
     sequence on both transports (checked by the parity test in
     [test_service.ml]).  Only the wire client id differs: it carries a
     per-engine session tag above the slot number, so two engines never
-    share the daemon's at-most-once entries. *)
+    share the daemon's at-most-once entries.
+
+    Each server connection, and each attempt of {!fetch_stats}, is a
+    {!Conn}: docs/SERVICE.md, "Connections", describes its ordered
+    output, the slow close and the handshake ({!Wire.accept_welcome}). *)
 
 type config = {
   n : int;

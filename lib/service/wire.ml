@@ -781,6 +781,63 @@ let encodable ~version = function
 let decode_msg ?max_version buf =
   decode_body ?max_version (fun v c -> r_msg ~v c) buf
 
+(* Frame layout: u32 length, then u8 version, u8 tag — the tags [w_msg]
+   writes for Hello (1), Welcome (2) and Reject (8). *)
+let is_handshake_frame frame =
+  Bytes.length frame >= 6
+  &&
+  match Bytes.get_uint8 frame 5 with 1 | 2 | 8 -> true | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Handshake                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let hello =
+  Hello
+    { client = 0; schema = Some { ps_version = version; ps_hash = schema_hash } }
+
+(* Both ends settle on the older of the two versions; a peer that sent no
+   schema is a v1 peer. *)
+let negotiate ~ours = function
+  | None -> 1
+  | Some ps -> max 1 (min ours ps.ps_version)
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let answer_hello ~serving ~server ~incarnation peer =
+  (* A refusal is framed at v2, the first version with [Reject]; a v1
+     server never decodes a schema to refuse. *)
+  let refuse rj_code rj_detail =
+    (min serving.ps_version (max 2 min_version), Reject { rj_code; rj_detail })
+  in
+  match peer with
+  | Some ps
+    when ps.ps_version = serving.ps_version
+         && not (String.equal ps.ps_hash serving.ps_hash) ->
+    refuse Incompatible_schema
+      (Printf.sprintf "schema v%d hash mismatch: ours %s, peer %s"
+         serving.ps_version
+         (Sch.hash_hex (schema_v ~version:serving.ps_version))
+         (hex ps.ps_hash))
+  | Some ps when ps.ps_version < min_version ->
+    refuse Unsupported_version
+      (Printf.sprintf "peer schema v%d below minimum %d" ps.ps_version
+         min_version)
+  | None | Some _ ->
+    let v = negotiate ~ours:serving.ps_version peer in
+    let schema = if v >= 2 then Some serving else None in
+    (v, Welcome { server; incarnation; schema })
+
+let accept_welcome = function
+  | Some ps
+    when ps.ps_version = version && not (String.equal ps.ps_hash schema_hash) ->
+    Error
+      (Printf.sprintf "welcome schema v%d hash differs from ours" ps.ps_version)
+  | peer -> Ok (negotiate ~ours:version peer)
+
 type persisted = {
   p_incarnation : int;
   p_state : Objstate.t;
@@ -905,10 +962,7 @@ let pp_peer_schema ppf = function
   | None -> ()
   | Some { ps_version; ps_hash } ->
     Format.fprintf ppf " schema=v%d/%s" ps_version
-      (String.concat ""
-         (List.init
-            (min 4 (String.length ps_hash))
-            (fun i -> Printf.sprintf "%02x" (Char.code ps_hash.[i]))))
+      (hex (String.sub ps_hash 0 (min 4 (String.length ps_hash))))
 
 let pp_msg ppf = function
   | Hello { client; schema } ->

@@ -14,16 +14,18 @@
 
     {2 Versions and schemas}
 
-    Three body layouts are spoken today.  Version 1 is PR 5's positional
-    layout.  Version 2 appends an {e optional} [peer_schema] handshake
-    field to [Hello]/[Welcome] (schema version + canonical hash, used by
-    [Daemon]/[Sdk] to reject incompatible peers with a typed {!msg.Reject}
-    instead of a decode crash) and adds the [Reject] message itself.
+    Four body layouts are spoken today.  Version 1 is the original
+    positional layout.  Version 2 appends an {e optional} [peer_schema]
+    handshake field to [Hello]/[Welcome] (schema version + canonical
+    hash, used by [Daemon]/[Sdk] to reject incompatible peers with a
+    typed {!msg.Reject} instead of a decode crash) and adds the [Reject]
+    message itself.
     Version 3 is the sharded-service layout: requests and responses gain
     a trailing key tag ([""] = the pre-v3 single register), [Stats]
     gains a per-shard aggregation tail, and two batch containers
     ({!msg.Req_batch}/{!msg.Resp_batch}) carry many keyed RMWs under one
-    length prefix, amortising framing and syscalls.  Every evolution is
+    length prefix, amortising framing and syscalls.  Version 4 adds the
+    read/write base objects' overwrite description.  Every evolution is
     append-only per record or a brand-new tag, which is what makes a
     mixed-version fleet work and is certified statically by
     [spacebounds schema check].
@@ -145,6 +147,36 @@ val decode_msg : ?max_version:int -> bytes -> (msg, string) result
 (** Decodes a frame {e body} (the bytes after the length prefix),
     accepting versions [min_version..max_version] (default
     {!version}). *)
+
+val is_handshake_frame : bytes -> bool
+(** True for an encoded [Hello], [Welcome] or [Reject] frame (the tag
+    after the length prefix and the version byte).  Fault policies pass
+    these through so campaigns exercise the data path, not the
+    idempotent, retried-on-reconnect handshake. *)
+
+(** {2 The handshake}
+
+    Both ends negotiate min(ours, peer's), where a peer that sent no
+    schema speaks v1.  A peer claiming the same schema version with a
+    different layout hash is drifted. *)
+
+val hello : msg
+(** The client's [Hello]: this build's schema version and hash.  Encoded
+    at v1 it carries no schema. *)
+
+val answer_hello :
+  serving:peer_schema -> server:int -> incarnation:int ->
+  peer_schema option -> int * msg
+(** A server's answer to a [Hello] carrying [peer], as the version to
+    frame the connection at from now on and the reply.  The reply is a
+    [Welcome] at the negotiated version (carrying [serving] from v2
+    on), or a typed [Reject] framed at min(serving, 2): [Incompatible_schema]
+    for a drifted hash, [Unsupported_version] for a version below
+    {!min_version}.  The server closes after a [Reject]. *)
+
+val accept_welcome : peer_schema option -> (int, string) result
+(** A client's reading of a [Welcome] carrying [peer]: the negotiated
+    version, or [Error] naming the drift. *)
 
 (** Durable server state, persisted by [Daemon] across restarts — one
     record per shard.  [p_state] is the [""] key's register (the only

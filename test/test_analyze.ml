@@ -302,6 +302,21 @@ let test_lint_rules_scoped () =
     (List.mem L.Nondet (L.rules_for "lib/service/client_core.ml"));
   Alcotest.(check bool) "io engine exempt from nondet" false
     (List.mem L.Nondet (L.rules_for "lib/service/sdk.ml"));
+  (* The shared connection takes its time from the caller: a clock or
+     process-global Random read in it is a finding. *)
+  let conn = "lib/service/conn.ml" in
+  List.iter
+    (fun (what, src) ->
+      Alcotest.(check (list string))
+        ("connection may not read " ^ what)
+        [ "nondet" ]
+        (L.lint_source ~rules:(L.rules_for conn) ~filename:conn src
+        |> List.filter L.active
+        |> List.map (fun f -> L.rule_name f.L.f_rule)))
+    [
+      ("the wall clock", "let now () = Unix.gettimeofday ()");
+      ("the global Random", "let jitter () = Random.int 10");
+    ];
   List.iter
     (fun rule ->
       Alcotest.(check bool)

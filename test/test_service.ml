@@ -8,6 +8,9 @@ module Trace = Sb_sim.Trace
 module Wire = Sb_service.Wire
 module Daemon = Sb_service.Daemon
 module Sdk = Sb_service.Sdk
+module Conn = Sb_service.Conn
+module Netfault = Sb_service.Netfault
+module Mailbox = Sb_service.Client_core.Mailbox
 module Score = Sb_service.Server_core
 module Block = Sb_storage.Block
 module Chunk = Sb_storage.Chunk
@@ -380,6 +383,146 @@ let test_malformed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized frame accepted"
 
+(* ------------------------------------------------------------------ *)
+(* Handshake                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let versions =
+  List.init (Wire.version - Wire.min_version + 1) (fun i -> Wire.min_version + i)
+
+let schema_of v =
+  {
+    Wire.ps_version = v;
+    ps_hash = Sb_schema.Schema.hash (Wire.schema_v ~version:v);
+  }
+
+let drifted v = { Wire.ps_version = v; ps_hash = String.make 16 'x' }
+
+let below_min =
+  { Wire.ps_version = Wire.min_version - 1; ps_hash = String.make 16 'y' }
+
+let hex_of s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Every serving version against every kind of peer.  The negotiated
+   version is min(serving, peer), a schema-less peer is v1, and a
+   refusal is framed at min(serving, 2). *)
+let test_answer_hello_table () =
+  List.iter
+    (fun serving_v ->
+      let serving = schema_of serving_v in
+      let welcome v =
+        let schema = if v >= 2 then Some serving else None in
+        (v, Wire.Welcome { server = 3; incarnation = 7; schema })
+      in
+      let reject code detail =
+        (min serving_v 2, Wire.Reject { rj_code = code; rj_detail = detail })
+      in
+      let cases =
+        (("no schema", None), welcome 1)
+        :: List.map
+             (fun peer_v ->
+               ( (Printf.sprintf "peer v%d" peer_v, Some (schema_of peer_v)),
+                 welcome (min serving_v peer_v) ))
+             versions
+        @ [
+            ( ("drifted hash", Some (drifted serving_v)),
+              reject Wire.Incompatible_schema
+                (Printf.sprintf "schema v%d hash mismatch: ours %s, peer %s"
+                   serving_v
+                   (Sb_schema.Schema.hash_hex (Wire.schema_v ~version:serving_v))
+                   (hex_of (drifted serving_v).Wire.ps_hash)) );
+            ( ("below minimum", Some below_min),
+              reject Wire.Unsupported_version
+                (Printf.sprintf "peer schema v%d below minimum %d"
+                   below_min.Wire.ps_version Wire.min_version) );
+          ]
+      in
+      List.iter
+        (fun ((what, peer), (want_v, want_msg)) ->
+          let name = Printf.sprintf "serving v%d, %s" serving_v what in
+          let got_v, got_msg =
+            Wire.answer_hello ~serving ~server:3 ~incarnation:7 peer
+          in
+          Alcotest.(check int) (name ^ ": version") want_v got_v;
+          if not (Wire.equal_msg want_msg got_msg) then
+            Alcotest.failf "%s: want %a, got %a" name Wire.pp_msg want_msg
+              Wire.pp_msg got_msg)
+        cases)
+    versions
+
+(* The client side: this build's version against every Welcome. *)
+let test_accept_welcome_table () =
+  let cases =
+    (("no schema", None), Ok 1)
+    :: List.map
+         (fun v -> ((Printf.sprintf "server v%d" v, Some (schema_of v)), Ok v))
+         versions
+    @ [
+        ( ("our version, drifted hash", Some (drifted Wire.version)),
+          Error
+            (Printf.sprintf "welcome schema v%d hash differs from ours"
+               Wire.version) );
+        ( ("older version, other hash", Some (drifted (Wire.version - 1))),
+          Ok (Wire.version - 1) );
+        (("below minimum", Some below_min), Ok 1);
+      ]
+  in
+  List.iter
+    (fun ((what, peer), want) ->
+      Alcotest.(check (result int string)) what want (Wire.accept_welcome peer))
+    cases
+
+(* Only Hello, Welcome and Reject frames count as handshake, at every
+   version that can carry them. *)
+let test_handshake_frames () =
+  let rq =
+    {
+      Wire.rq_key = ""; rq_client = 1; rq_ticket = 1; rq_op = 1;
+      rq_nature = `Readonly; rq_payload = []; rq_desc = D.Snapshot;
+    }
+  in
+  let rs =
+    {
+      Wire.rs_key = ""; rs_ticket = 1; rs_op = 1; rs_server = 0;
+      rs_incarnation = 1; rs_dedup = false; rs_resp = D.Ack;
+    }
+  in
+  let stats =
+    {
+      Wire.st_server = 0; st_incarnation = 1; st_storage_bits = 0;
+      st_max_bits = 0; st_dedup_hits = 0; st_applied = 0; st_keys = 0;
+      st_shards = [];
+    }
+  in
+  let msgs =
+    [
+      (true, Wire.hello);
+      (true, Wire.Welcome { server = 0; incarnation = 1; schema = None });
+      (true, Wire.Reject { rj_code = Wire.Incompatible_schema; rj_detail = "x" });
+      (false, Wire.Request rq);
+      (false, Wire.Response rs);
+      (false, Wire.Stats_query);
+      (false, Wire.Stats stats);
+      (false, Wire.Req_batch [ rq; rq ]);
+      (false, Wire.Resp_batch [ rs ]);
+    ]
+  in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun (want, msg) ->
+          if Wire.encodable ~version msg then
+            Alcotest.(check bool)
+              (Format.asprintf "v%d %a" version Wire.pp_msg msg)
+              want
+              (Wire.is_handshake_frame (Wire.encode_msg ~version msg)))
+        msgs)
+    versions;
+  Alcotest.(check bool) "a frame too short for a tag" false
+    (Wire.is_handshake_frame (Bytes.make 5 '\001'))
+
 let test_persisted_roundtrip () =
   let st =
     Objstate.init
@@ -429,6 +572,207 @@ let test_server_core_dedup () =
   Alcotest.(check bool) "table volatile across crash" false o3.Score.dedup_hit
 
 (* ------------------------------------------------------------------ *)
+(* Client core                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_mailbox_consume () =
+  let m = Mailbox.create () in
+  List.iter
+    (fun (ticket, obj) -> Mailbox.record m ~ticket ~obj D.Ack)
+    [ (1, 0); (2, 1); (5, 2) ];
+  let objs rs = List.map fst rs in
+  Alcotest.(check (list int)) "the await's responses, in ticket order" [ 1; 0 ]
+    (objs (Mailbox.consume m ~tickets:[ 2; 1; 3 ]));
+  Alcotest.(check (list bool)) "consumed tickets are forgotten"
+    [ false; false; false ]
+    (List.map (Mailbox.has m) [ 1; 2; 3 ]);
+  Alcotest.(check bool) "other tickets stay" true (Mailbox.has m 5);
+  Alcotest.(check (list int)) "a second consume finds nothing" []
+    (objs (Mailbox.consume m ~tickets:[ 1; 2 ]));
+  Alcotest.(check bool) "quorum counts only what is left" false
+    (Mailbox.satisfied m ~tickets:[ 1; 2; 5 ] ~quorum:2)
+
+(* ------------------------------------------------------------------ *)
+(* Connections over a socket pair, on a clock the test controls        *)
+(* ------------------------------------------------------------------ *)
+
+(* [Conn] on one end of a socket pair; the test reads and writes the
+   other end directly. *)
+let with_pair ?(hooks = Netfault.none) f =
+  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock mine;
+  Unix.set_nonblock peer;
+  let c = Conn.create ~hooks ~server:0 mine in
+  Fun.protect
+    ~finally:(fun () ->
+      Conn.close c;
+      try Unix.close peer with Unix.Unix_error _ -> ())
+    (fun () -> f c peer)
+
+(* Everything the peer end can read right now, and whether it then
+   found the connection still open or at end of file. *)
+let read_available fd =
+  let buf = Bytes.create 65536 and acc = Buffer.create 64 in
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> `Eof
+    | n ->
+      Buffer.add_subbytes acc buf 0 n;
+      go ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Open
+  in
+  let state = go () in
+  (Buffer.contents acc, state)
+
+(* A hook that answers frames from a script, in order, and counts how
+   often it was asked. *)
+let scripted actions =
+  let script = ref actions and asked = ref 0 in
+  let nf_frame ~server:_ _frame =
+    incr asked;
+    match !script with
+    | a :: rest ->
+      script := rest;
+      a
+    | [] -> Netfault.Pass
+  in
+  ({ Netfault.none with Netfault.nf_frame }, asked)
+
+let frame_of k =
+  Wire.encode_msg (Wire.Welcome { server = k; incarnation = k; schema = None })
+
+let test_conn_chunked_frame () =
+  let msg =
+    Wire.Stats
+      {
+        st_server = 2; st_incarnation = 3; st_storage_bits = 4096;
+        st_max_bits = 8192; st_dedup_hits = 1; st_applied = 9; st_keys = 2;
+        st_shards =
+          [
+            {
+              ss_shard = 0; ss_incarnation = 3; ss_keys = 2;
+              ss_storage_bits = 4096; ss_max_bits = 8192; ss_max_key_bits = 2048;
+            };
+          ];
+      }
+  in
+  let frame = Wire.encode_msg msg in
+  let n = Bytes.length frame in
+  let prng = Sb_util.Prng.create 17 in
+  List.iter
+    (fun cuts ->
+      with_pair (fun c peer ->
+          let got = ref [] in
+          let feed off len =
+            ignore (Unix.write peer frame off len);
+            Conn.receive c ~while_closing:true (fun m -> got := m :: !got)
+          in
+          let rec go off = function
+            | [] -> feed off (n - off)
+            | cut :: rest ->
+              feed off (cut - off);
+              Alcotest.(check int) "nothing before the frame is whole" 0
+                (List.length !got);
+              go cut rest
+          in
+          go 0 cuts;
+          match !got with
+          | [ m ] when Wire.equal_msg m msg -> ()
+          | ms -> Alcotest.failf "decoded %d frames from one" (List.length ms)))
+    (* Byte by byte, then random cut points. *)
+    (List.init (n - 1) (fun i -> i + 1)
+    :: List.init 20 (fun _ ->
+           List.sort_uniq Int.compare
+             (List.init
+                (1 + Sb_util.Prng.int prng 5)
+                (fun _ -> 1 + Sb_util.Prng.int prng (n - 1)))))
+
+let test_conn_delayed_order () =
+  let f1 = frame_of 1 and f2 = frame_of 2 and f3 = frame_of 3 in
+  let h = Bytes.length f3 / 2 in
+  let head = Bytes.sub f3 0 h and tail = Bytes.sub f3 h (Bytes.length f3 - h) in
+  let hooks, _ =
+    scripted
+      [
+        Netfault.Emit [ (10, f1) ];
+        Netfault.Pass;
+        Netfault.Emit [ (0, head); (5, tail) ];
+      ]
+  in
+  with_pair ~hooks (fun c peer ->
+      List.iter (Conn.send c ~now:0.0) [ f1; f2; f3 ];
+      Conn.tick c ~now:9.0;
+      Alcotest.(check bool) "nothing overtakes the delayed first frame" false
+        (Conn.pending c);
+      Conn.tick c ~now:10.0;
+      Conn.flush c;
+      let got, _ = read_available peer in
+      Alcotest.(check string) "segments leave in send order"
+        (Bytes.to_string (Bytes.concat Bytes.empty [ f1; f2; f3 ]))
+        got)
+
+let test_conn_nothing_after_close () =
+  let f1 = frame_of 1 in
+  let prefix = Bytes.sub f1 0 5 in
+  let hooks, asked = scripted [ Netfault.Emit_close [ (0, prefix) ] ] in
+  with_pair ~hooks (fun c peer ->
+      Conn.send c ~now:0.0 f1;
+      Conn.send c ~now:0.0 (frame_of 2);
+      Conn.send c ~now:0.0 (frame_of 3);
+      Alcotest.(check int) "the hook is not asked after the close" 1 !asked;
+      Alcotest.(check bool) "closing" true (Conn.closing c);
+      Conn.flush c;
+      Alcotest.(check bool) "the close lands once the prefix is out" true
+        (Conn.closed c);
+      let got, state = read_available peer in
+      Alcotest.(check string) "only the truncated prefix"
+        (Bytes.to_string prefix) got;
+      Alcotest.(check bool) "then end of file" true (state = `Eof))
+
+let test_conn_drained () =
+  let f1 = frame_of 1 in
+  let hooks, _ = scripted [ Netfault.Emit [ (0, f1); (20, f1) ] ] in
+  with_pair ~hooks (fun c peer ->
+      Alcotest.(check bool) "a fresh connection is drained" true (Conn.drained c);
+      Conn.send c ~now:0.0 f1;
+      Alcotest.(check bool) "buffered bytes" false (Conn.drained c);
+      Conn.flush c;
+      Alcotest.(check bool) "buffered bytes gone" false (Conn.pending c);
+      Alcotest.(check bool) "delayed bytes remain" false (Conn.drained c);
+      Conn.tick c ~now:19.0;
+      Alcotest.(check bool) "not yet due" false (Conn.pending c || Conn.drained c);
+      Conn.tick c ~now:20.0;
+      Alcotest.(check bool) "due: buffered again" true (Conn.pending c);
+      Alcotest.(check bool) "still not drained" false (Conn.drained c);
+      Conn.flush c;
+      Alcotest.(check bool) "drained once both are gone" true (Conn.drained c);
+      let got, _ = read_available peer in
+      Alcotest.(check int) "both copies arrived" (2 * Bytes.length f1)
+        (String.length got))
+
+(* A socket that takes less than the output: each flush resumes where
+   the last one stopped, and frames queued in between follow. *)
+let test_conn_partial_writes () =
+  let big = Bytes.init 300_000 (fun i -> Char.chr (i land 0xff)) in
+  let small = frame_of 9 in
+  with_pair (fun c peer ->
+      Unix.setsockopt_int (Conn.fd c) Unix.SO_SNDBUF 4096;
+      Conn.send c ~now:0.0 big;
+      let acc = Buffer.create (Bytes.length big) in
+      let rounds = ref 0 in
+      while Conn.pending c do
+        incr rounds;
+        Conn.flush c;
+        if !rounds = 1 then Conn.send c ~now:0.0 small;
+        let got, _ = read_available peer in
+        Buffer.add_string acc got
+      done;
+      Alcotest.(check bool) "the socket took several writes" true (!rounds > 1);
+      Alcotest.(check string) "every byte once, in order"
+        (Bytes.to_string big ^ Bytes.to_string small)
+        (Buffer.contents acc))
+
+(* ------------------------------------------------------------------ *)
 (* Live clusters (forked daemon process)                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -444,13 +788,13 @@ let fresh_dir prefix =
   (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   d
 
-let with_cluster ?statedir ?wire_version ~algorithm ~n fn =
+let with_cluster ?statedir ?wire_version ?hooks ~algorithm ~n fn =
   let sockdir = fresh_dir "sb-sock" in
   let pid = Unix.fork () in
   if pid = 0 then begin
     (try
-       Daemon.run ?statedir ?wire_version ~sockdir ~servers:(List.init n Fun.id)
-         ~init_obj:algorithm.R.init_obj ()
+       Daemon.run ?statedir ?wire_version ?hooks ~sockdir
+         ~servers:(List.init n Fun.id) ~init_obj:algorithm.R.init_obj ()
      with _ -> ());
     Unix._exit 0
   end
@@ -784,6 +1128,66 @@ let test_schema_hash_reject () =
           let k = Unix.read fd buf 0 (Bytes.length buf) in
           Alcotest.(check int) "connection closed" 0 k))
 
+(* One inbound frame can get several reply frames: a [Req_batch] on a
+   connection that never said [Hello] is answered with one v1 [Response]
+   per request.  When a slow close truncates the first reply, the later
+   replies must not follow it — the client's reader would splice them
+   onto the truncated frame. *)
+let test_daemon_stops_after_slow_close () =
+  let algorithm, cfg = adaptive_setup ~value_bytes:32 ~f:1 ~k:1 in
+  let cut frame = Bytes.sub frame 0 (Bytes.length frame / 2) in
+  let truncated = ref false in
+  let hooks =
+    {
+      Netfault.none with
+      Netfault.nf_frame =
+        (fun ~server:_ frame ->
+          if Wire.is_handshake_frame frame || !truncated then Netfault.Pass
+          else begin
+            truncated := true;
+            Netfault.Emit_close [ (0, cut frame) ]
+          end);
+    }
+  in
+  with_cluster ~hooks ~algorithm ~n:cfg.Common.n (fun sockdir ->
+      let fd = Unix.(socket PF_UNIX SOCK_STREAM 0) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX (Daemon.sockpath ~sockdir 0));
+          let read ticket =
+            {
+              Wire.rq_key = ""; rq_client = 5; rq_ticket = ticket; rq_op = ticket;
+              rq_nature = `Readonly; rq_payload = []; rq_desc = D.Snapshot;
+            }
+          in
+          let frame = Wire.encode_msg (Wire.Req_batch [ read 1; read 2 ]) in
+          ignore (Unix.write fd frame 0 (Bytes.length frame));
+          let first_reply =
+            Wire.encode_msg ~version:1
+              (Wire.Response
+                 {
+                   rs_key = ""; rs_ticket = 1; rs_op = 1; rs_server = 0;
+                   rs_incarnation = 1; rs_dedup = false;
+                   rs_resp = D.Snap (algorithm.R.init_obj 0);
+                 })
+          in
+          let buf = Bytes.create 4096 and got = Buffer.create 256 in
+          let rec until_eof () =
+            match Unix.select [ fd ] [] [] 5.0 with
+            | [], _, _ -> Alcotest.fail "the daemon never closed the connection"
+            | _ -> (
+              match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> ()
+              | k ->
+                Buffer.add_subbytes got buf 0 k;
+                until_eof ())
+          in
+          until_eof ();
+          Alcotest.(check string) "exactly the truncated first reply"
+            (Bytes.to_string (cut first_reply))
+            (Buffer.contents got)))
+
 (* ------------------------------------------------------------------ *)
 (* Durable state under disk faults                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1044,6 +1448,11 @@ let () =
           test_desc_semantic_roundtrip;
           test_batch_apply_equivalence;
           Alcotest.test_case "malformed frames rejected" `Quick test_malformed;
+          Alcotest.test_case "server handshake table" `Quick
+            test_answer_hello_table;
+          Alcotest.test_case "client handshake table" `Quick
+            test_accept_welcome_table;
+          Alcotest.test_case "handshake frames by tag" `Quick test_handshake_frames;
           Alcotest.test_case "persisted state round-trips" `Quick
             test_persisted_roundtrip;
         ] );
@@ -1064,6 +1473,24 @@ let () =
         ] );
       ( "server-core",
         [ Alcotest.test_case "at-most-once semantics" `Quick test_server_core_dedup ] );
+      ( "client-core",
+        [
+          Alcotest.test_case "consume forgets collected tickets" `Quick
+            test_mailbox_consume;
+        ] );
+      ( "conn",
+        [
+          Alcotest.test_case "a chunked frame decodes once" `Quick
+            test_conn_chunked_frame;
+          Alcotest.test_case "delayed segments keep send order" `Quick
+            test_conn_delayed_order;
+          Alcotest.test_case "nothing queued after a slow close" `Quick
+            test_conn_nothing_after_close;
+          Alcotest.test_case "drained means buffered and delayed" `Quick
+            test_conn_drained;
+          Alcotest.test_case "partial writes resume in order" `Quick
+            test_conn_partial_writes;
+        ] );
       ( "cluster",
         [
           Alcotest.test_case "workload over sockets" `Quick test_cluster_workload;
@@ -1081,5 +1508,7 @@ let () =
             test_schema_hash_reject;
           Alcotest.test_case "rw write towards a v3 peer is dropped" `Quick
             test_rw_write_below_v4_dropped;
+          Alcotest.test_case "no daemon reply follows a slow close" `Quick
+            test_daemon_stops_after_slow_close;
         ] );
     ]
