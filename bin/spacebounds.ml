@@ -1762,8 +1762,8 @@ let schema_cmd =
     in
     Cmd.v
       (Cmd.info "dump"
-         ~doc:"Print the programmatic wire schema (extracted from the codec, \
-               so it cannot drift) as canonical JSON.")
+         ~doc:"Print the wire schema as canonical JSON.  It comes from the \
+               same layout declarations as the codec, so it cannot drift.")
       Term.(const run $ version_arg $ out_arg)
   in
   let check_cmd =

@@ -315,13 +315,13 @@ let protocol_core path =
     [ "lib/sim/"; "lib/registers/"; "lib/storage/"; "lib/quorums/"; "lib/msgnet/";
       "lib/spec/"; "lib/kv/" ]
   || List.exists (ends_with path)
-       [ "lib/service/wire.ml"; "lib/service/server_core.ml";
+       [ "lib/service/wire.ml"; "lib/schema/layout.ml"; "lib/service/server_core.ml";
          "lib/service/client_core.ml"; "lib/service/conn.ml" ]
 
 let rules_for path =
   let core = protocol_core path in
   let sanitizer = contains path "lib/sanitize/" in
-  let wire = contains path "lib/service/" in
+  let wire = contains path "lib/service/" || ends_with path "lib/schema/layout.ml" in
   (if core then [ Nondet; Poly_compare; Hashtbl_order ] else [])
   @ (if sanitizer then [ Hashtbl_order ] else [])
   @ (if wire then [ Wire_catchall ] else [])

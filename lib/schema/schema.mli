@@ -4,11 +4,12 @@
     kind tag and (for scalars) a fixed byte width; records list their
     fields in wire order; enums list the closed tag vocabulary with one
     body per tag; [Option] is a presence byte.  [Sb_service.Wire]
-    produces its own schema programmatically ([Wire.schema_v]), so the
-    description cannot drift from the codec — the test suite decodes
-    codec output with the schema-driven interpreter below and re-encodes
-    it byte-for-byte, and the golden [schemas/v<N>.json] files are
-    diffed against the programmatic schema on every [dune runtest].
+    declares each layout once with {!Layout}, which gives both the
+    codec and this description ([Wire.schema_v]), so the two cannot
+    drift.  The test suite still decodes codec output with the
+    schema-driven interpreter below, the reference, and re-encodes it
+    byte-for-byte, and the golden [schemas/v<N>.json] files are diffed
+    against [Wire.schema_v] on every [dune runtest].
 
     The generic interpreter ({!decode}/{!encode} over {!value}) is the
     foundation of the {!Compat} certifier: it lets us run one schema's
@@ -101,8 +102,8 @@ type value =
 val pp_value : Format.formatter -> value -> unit
 
 val encode : ty -> value -> bytes
-(** Schema-driven encoding, byte-compatible with [Sb_service.Wire]'s
-    hand-written writers.  Raises [Invalid_argument] if the value does
+(** Schema-driven encoding, byte-compatible with the {!Layout}
+    writers.  Raises [Invalid_argument] if the value does
     not inhabit the type (a caller bug, not wire data). *)
 
 val decode : ty -> bytes -> (value, string) result

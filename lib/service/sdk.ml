@@ -457,10 +457,6 @@ let record_sample eng =
     eng.samples <- { at_ms = now_ms eng; total_bits = total } :: eng.samples
   end
 
-let reject_code_name = function
-  | Wire.Unsupported_version -> "unsupported-version"
-  | Wire.Incompatible_schema -> "incompatible-schema"
-
 let rec handle_inbound eng s (msg : Wire.msg) =
   match msg with
   | Wire.Welcome { server; incarnation; schema } ->
@@ -475,7 +471,7 @@ let rec handle_inbound eng s (msg : Wire.msg) =
     end
   | Wire.Reject { rj_code; rj_detail } ->
     schema_reject eng s
-      (Printf.sprintf "%s: %s" (reject_code_name rj_code) rj_detail)
+      (Printf.sprintf "%s: %s" (Wire.reject_code_name rj_code) rj_detail)
   | Wire.Response rs -> handle_response eng s rs
   | Wire.Resp_batch rss -> List.iter (handle_response eng s) rss
   | Wire.Stats st ->

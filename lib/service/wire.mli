@@ -35,10 +35,11 @@
     [min_version..max_version] — a daemon pinned to [~max_version:1]
     behaves exactly like an old binary and cleanly rejects v2 frames.
 
-    The full layout vocabulary is exported as a first-class
-    {!Sb_schema.Schema.t} via {!schema_v}, defined next to the codec and
-    locked to it by the drift gates in [dune runtest] and the golden
-    [schemas/v<N>.json] files. *)
+    Each layout is declared once with {!Sb_schema.Layout}.  The codec,
+    the first-class {!Sb_schema.Schema.t} of each version ({!schema_v}),
+    {!encodable} and {!is_handshake_frame} all come from those
+    declarations; the golden [schemas/v<N>.json] files pin each
+    version's schema. *)
 
 val version : int
 (** The newest wire version this build speaks (4: adds the rw-write
@@ -224,6 +225,10 @@ module Reader : sig
 end
 
 val equal_msg : msg -> msg -> bool
+
+val reject_code_name : reject_code -> string
+(** ["unsupported-version"] or ["incompatible-schema"]. *)
+
 val pp_msg : Format.formatter -> msg -> unit
 
 (** {2 The programmatic schema} *)

@@ -330,6 +330,15 @@ let test_lint_rules_scoped () =
     (List.mem L.Hashtbl_order (L.rules_for "lib/sanitize/monitor.ml"));
   Alcotest.(check bool) "service gets wire-catchall" true
     (List.mem L.Wire_catchall (L.rules_for "lib/service/wire.ml"));
+  (* The typed layouts the wire codec is built from get the codec's
+     rules. *)
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        ("wire layouts get " ^ L.rule_name rule)
+        true
+        (List.mem rule (L.rules_for "lib/schema/layout.ml")))
+    [ L.Nondet; L.Poly_compare; L.Hashtbl_order; L.Wire_catchall ];
   Alcotest.(check bool) "protocol cores exempt from wire-catchall" false
     (List.mem L.Wire_catchall (L.rules_for "lib/sim/runtime.ml"))
 

@@ -374,6 +374,21 @@ let test_malformed () =
   (match Wire.decode_msg bad with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "wrong version decoded");
+  (* A ticket of 2^62 is outside OCaml's int range: read as an int it
+     would wrap to -2^62, a different value with different bytes. *)
+  let wide =
+    body_of_frame
+      (Wire.encode_msg
+         (Wire.Response
+            {
+              rs_key = ""; rs_ticket = 1; rs_op = 1; rs_server = 0;
+              rs_incarnation = 1; rs_dedup = false; rs_resp = D.Ack;
+            }))
+  in
+  Bytes.set_int64_be wide 2 0x4000_0000_0000_0000L;
+  (match Wire.decode_msg wide with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "out-of-range i64 decoded");
   (* An oversized frame length must be rejected by the reader. *)
   let huge = Bytes.create 4 in
   Bytes.set_int32_be huge 0 0x7fff_ffffl;
@@ -543,6 +558,47 @@ let test_persisted_roundtrip () =
   | Ok p' ->
     Alcotest.(check bool) "keyed entries survive" true (p'.Wire.p_keyed = keyed)
   | Error e -> Alcotest.failf "decode_persisted keyed: %s" e
+
+(* The schema interpreter is the reference: whatever the codec writes
+   at a version that can carry it decodes under that version's schema
+   and re-encodes to the same bytes. *)
+let schema_agrees root v frame =
+  let ty = List.assoc root (Wire.schema_v ~version:v).Sb_schema.Schema.s_roots in
+  (* Strip the length prefix and the version byte. *)
+  let body = Bytes.sub frame 5 (Bytes.length frame - 5) in
+  match Sb_schema.Schema.decode ty body with
+  | Ok value -> Bytes.equal (Sb_schema.Schema.encode ty value) body
+  | Error e -> QCheck2.Test.fail_reportf "v%d %s: schema decode failed: %s" v root e
+
+let test_msg_schema_agreement =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"schema interpreter agrees on every encodable message" gen_msg
+       (fun msg ->
+         List.for_all
+           (fun v ->
+             (not (Wire.encodable ~version:v msg))
+             || schema_agrees "msg" v (Wire.encode_msg ~version:v msg))
+           versions))
+
+let gen_persisted =
+  Gen.map3
+    (fun p_incarnation p_state p_keyed -> { Wire.p_incarnation; p_state; p_keyed })
+    Gen.(1 -- 50)
+    gen_objstate
+    Gen.(list_size (int_bound 3) (pair gen_key gen_objstate))
+
+(* Keyed states travel from v3 on; below, a record holds one register. *)
+let test_persisted_schema_agreement =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"schema interpreter agrees on every persisted record" gen_persisted
+       (fun p ->
+         List.for_all
+           (fun v ->
+             let p = if v >= 3 then p else { p with Wire.p_keyed = [] } in
+             schema_agrees "persisted" v (Wire.encode_persisted ~version:v p))
+           versions))
 
 (* ------------------------------------------------------------------ *)
 (* Server core                                                         *)
@@ -1455,6 +1511,8 @@ let () =
           Alcotest.test_case "handshake frames by tag" `Quick test_handshake_frames;
           Alcotest.test_case "persisted state round-trips" `Quick
             test_persisted_roundtrip;
+          test_msg_schema_agreement;
+          test_persisted_schema_agreement;
         ] );
       ( "durability",
         [
