@@ -6,7 +6,12 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Decode m)) fmt
 
 type cursor = { buf : bytes; mutable pos : int; stop : int }
 
-let cursor buf = { buf; pos = 0; stop = Bytes.length buf }
+let cursor ?(off = 0) ?len buf =
+  let len = match len with Some n -> n | None -> Bytes.length buf - off in
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Layout.cursor: range outside the buffer";
+  { buf; pos = off; stop = off + len }
+
 let at_end c = c.pos = c.stop
 let need c n = if c.pos + n > c.stop then raise (Decode "truncated frame")
 

@@ -121,8 +121,14 @@ val write : 'a t -> version:int -> Buffer.t -> 'a -> unit
 
 type cursor
 
-val cursor : bytes -> cursor
+val cursor : ?off:int -> ?len:int -> bytes -> cursor
+(** Reads [len] bytes of the buffer from [off] (default: all of it, from
+    0), in place: the bytes are not copied, and a value read from them
+    shares none of them.  Raises [Invalid_argument] for a range outside
+    the buffer. *)
+
 val at_end : cursor -> bool
+(** The cursor has reached the end of its range. *)
 
 val read : 'a t -> version:int -> cursor -> 'a
 (** Raises {!Decode} on malformed bytes; a record constructor may raise

@@ -1,6 +1,7 @@
 type t = {
   fd : Unix.file_descr;
   hooks : Netfault.t;
+  in_place : bool;  (* no hook asks to see a frame: encode into [out] *)
   server : int;
   reader : Wire.Reader.t;
   inbuf : bytes;  (* every read lands here *)
@@ -20,6 +21,7 @@ let create ?max_version ~hooks ~server fd =
   {
     fd;
     hooks;
+    in_place = hooks.Netfault.nf_frame == Netfault.none.Netfault.nf_frame;
     server;
     reader = Wire.Reader.create ?max_version ();
     inbuf = Bytes.create 65536;
@@ -52,21 +54,18 @@ let close_when_drained c = c.closing <- true
 (* Output                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Room for [n] more bytes at [out.[len]]: the unsent bytes move to the
+   front only when the new ones do not fit behind them. *)
+let make_room c n =
+  if c.len + n > Bytes.length c.out then begin
+    c.out <- Sb_util.Bytesx.compact c.out ~from:c.sent ~upto:c.len ~room:n;
+    c.len <- c.len - c.sent;
+    c.sent <- 0
+  end
+
 let append c chunk =
   let n = Bytes.length chunk in
-  if c.len + n > Bytes.length c.out then begin
-    (* Move the unsent bytes to the front, growing the buffer only when
-       they and the chunk do not fit. *)
-    let live = c.len - c.sent in
-    let cap = Bytes.length c.out in
-    let dst =
-      if live + n > cap then Bytes.create (max (live + n) (2 * cap)) else c.out
-    in
-    Bytes.blit c.out c.sent dst 0 live;
-    c.out <- dst;
-    c.sent <- 0;
-    c.len <- live
-  end;
+  make_room c n;
   Bytes.blit chunk 0 c.out c.len n;
   c.len <- c.len + n
 
@@ -87,6 +86,19 @@ let send c ~now frame =
     | Netfault.Emit_close segments ->
       List.iter (push c ~now) segments;
       c.closing <- true
+
+(* Without a hook to show the frame to or a delayed segment to queue it
+   behind, the frame goes from the encoder's scratch buffer straight
+   into [out]. *)
+let send_msg c ~now ~version msg =
+  if c.closing then ()
+  else if c.in_place && Queue.is_empty c.delayed then
+    Wire.encode_msg_into ~version msg (fun n ->
+        make_room c n;
+        let off = c.len in
+        c.len <- off + n;
+        (c.out, off))
+  else send c ~now (Wire.encode_msg ~version msg)
 
 (* The slow close lands once the last queued byte has left. *)
 let settle c = if c.closing && drained c then close c

@@ -7,9 +7,19 @@
     for the socket, then the segments a {!Netfault} hook delayed.  A
     segment leaves only after every segment queued before it, so
     however a hook slices, delays or duplicates frames, the peer reads
-    them in send order.  Frames are encoded by the caller; this module
-    never encodes and never reads a clock — every time is the caller's
-    [~now], in milliseconds on the caller's own clock.
+    them in send order.  This module never reads a clock: every time
+    is the caller's [~now], in milliseconds on the caller's own clock.
+
+    {2 Encoding in place}
+
+    {!send_msg} encodes a message into the output buffer itself, copied
+    once from {!Wire}'s per-domain scratch buffer, when the connection's
+    frame hook is {!Netfault.none}'s and no delayed segment is queued.
+    That is every send of a fault-free SDK engine, daemon and
+    [Sdk.fetch_stats].  Otherwise it builds the frame as bytes and
+    hands it to {!send}, so the hook sees every frame and a delayed
+    segment still leaves first.  Both paths put the same bytes on the
+    socket.
 
     {2 Closing}
 
@@ -38,6 +48,12 @@ val send : t -> now:float -> bytes -> unit
     [Pass] queues the frame now, [Drop] nothing, [Emit] its segments
     behind any delayed ones, [Emit_close] its segments and then starts
     the slow close.  Dropped unseen while closing. *)
+
+val send_msg : t -> now:float -> version:int -> Wire.msg -> unit
+(** Encode [msg] at [version] and send it as {!send} would; in place
+    when no hook needs the frame (see above).  Dropped unencoded while
+    closing.  Raises [Invalid_argument] when [version] cannot carry
+    [msg] ({!Wire.encodable}). *)
 
 val tick : t -> now:float -> unit
 (** Move the delayed segments that are due by [now] to the output, in

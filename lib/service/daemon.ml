@@ -177,8 +177,7 @@ let server_incarnation srv =
 let now_ms srv = (Unix.gettimeofday () -. srv.started) *. 1000.0
 
 let enqueue srv conn msg =
-  Conn.send conn.io ~now:(now_ms srv)
-    (Wire.encode_msg ~version:conn.peer_version msg)
+  Conn.send_msg conn.io ~now:(now_ms srv) ~version:conn.peer_version msg
 
 let persist srv sh =
   match sh.sh_path with

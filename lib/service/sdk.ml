@@ -195,11 +195,12 @@ let dial_failed eng s =
   eng.fail_streak.(s) <- eng.fail_streak.(s) + 1;
   eng.conns.(s) <- Down { retry_at = now_ms eng +. retry_delay eng s }
 
-(* A closing connection drops the frame; retransmission takes over once
-   the close lands and the server is re-dialled. *)
-let send_frame eng c frame =
+(* Frames go out at the server's negotiated version.  A closing
+   connection drops the frame; retransmission takes over once the close
+   lands and the server is re-dialled. *)
+let send_msg eng s c msg =
   if not (Conn.closing c.io) then eng.frames_sent <- eng.frames_sent + 1;
-  Conn.send c.io ~now:(now_ms eng) frame
+  Conn.send_msg c.io ~now:(now_ms eng) ~version:eng.peer_version.(s) msg
 
 let try_connect eng s =
   if not (eng.hooks.Netfault.nf_connect ~server:s) then dial_failed eng s
@@ -220,8 +221,7 @@ let try_connect eng s =
       eng.welcomed.(s) <- false;
       (* Hello optimistically at the last version this server spoke
          (initially ours); v1 framing drops the schema field itself. *)
-      send_frame eng c
-        (Wire.encode_msg ~version:eng.peer_version.(s) Wire.hello);
+      send_msg eng s c Wire.hello;
       eng.conns.(s) <- Up c;
       eng.connects.(s) <- eng.connects.(s) + 1;
       if eng.connects.(s) > 1 then eng.reconnects <- eng.reconnects + 1
@@ -270,15 +270,12 @@ let flush_batch eng s c =
   | [ rq ] ->
     c.pending <- [];
     c.pending_n <- 0;
-    send_frame eng c
-      (Wire.encode_msg ~version:eng.peer_version.(s) (Wire.Request rq))
+    send_msg eng s c (Wire.Request rq)
   | rqs ->
     c.pending <- [];
     c.pending_n <- 0;
     eng.batches_sent <- eng.batches_sent + 1;
-    send_frame eng c
-      (Wire.encode_msg ~version:eng.peer_version.(s)
-         (Wire.Req_batch (List.rev rqs)))
+    send_msg eng s c (Wire.Req_batch (List.rev rqs))
 
 (* A frame the peer's negotiated version cannot carry (keyed traffic
    below v3, an rw write below v4) is dropped rather than raised on —
@@ -294,7 +291,7 @@ let send_to eng s msg =
   match eng.conns.(s) with
   | Up c when encodable eng s msg ->
     flush_batch eng s c;
-    send_frame eng c (Wire.encode_msg ~version:eng.peer_version.(s) msg)
+    send_msg eng s c msg
   | Up _ | Down _ -> ()
 
 (* Triggered requests route here: buffered while batching is armed for
@@ -342,11 +339,12 @@ let timer_live eng ticket (t : (int * Wire.msg) Rt.timer) =
 (* Sockets as a transport of the client engine: a trigger encodes its
    description into a request, batched per connection when batching is
    armed, and arms a retransmission timer; an await reads the
-   mailbox. *)
+   mailbox.  The request's payload is empty: every block it declares
+   already travels in the description, and no daemon reads the field. *)
 let transport =
   {
     Engine.send =
-      (fun eng fb op obj payload _rmw nature desc ->
+      (fun eng fb op obj _payload _rmw nature desc ->
         let d =
           match desc with
           | Some d -> d
@@ -365,7 +363,7 @@ let transport =
             rq_ticket = ticket;
             rq_op = op.R.id;
             rq_nature = nature;
-            rq_payload = payload;
+            rq_payload = [];
             rq_desc = d;
           }
         in
@@ -714,8 +712,7 @@ let fetch_stats ?(timeout_ms = 5000) ~sockdir ~servers () =
      up later). *)
   let query c hello_v ~until =
     let send v msg =
-      Conn.send c ~now:(Unix.gettimeofday () *. 1000.0)
-        (Wire.encode_msg ~version:v msg);
+      Conn.send_msg c ~now:(Unix.gettimeofday () *. 1000.0) ~version:v msg;
       Conn.flush c
     in
     let result = ref None and welcomed = ref false in

@@ -373,28 +373,38 @@ let schema_hash = Sch.hash schema
 let schema_hash_hex = Sch.hash_hex schema
 
 (* Every frame is built in one per-domain scratch buffer and copied out
-   once at its exact size.  Batch and persisted frames are kilobytes,
-   above the minor heap's object limit: a fresh buffer per frame is
-   malloc'd, grown by repeated doublings and freed again every major
-   cycle.  The scratch buffer keeps the capacity of the largest frame
-   its domain has built, so a stream of frames allocates only the
+   once at its exact size: into a fresh frame, or straight into a
+   connection's output buffer.  Batch and persisted frames are
+   kilobytes, above the minor heap's object limit: a fresh buffer per
+   frame is malloc'd, grown by repeated doublings and freed again every
+   major cycle.  The scratch buffer keeps the capacity of the largest
+   frame its domain has built, so a stream of frames allocates only the
    frames it returns.  One buffer per domain suffices: nothing here
    runs systhreads, and no writer encodes a frame inside a frame. *)
 let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
-let frame_body ~v layout payload =
-  (* Length prefix written as a placeholder and patched in the copy. *)
+(* The whole frame in the scratch buffer, its length prefix a
+   placeholder that [blit_frame] patches in the copy. *)
+let stage ~v layout payload =
   let b = Domain.DLS.get scratch in
   Buffer.clear b;
   Buffer.add_int32_be b 0l;
   Buffer.add_uint8 b v;
   L.write layout ~version:v b payload;
-  let framed = Buffer.to_bytes b in
-  Bytes.set_int32_be framed 0 (Int32.of_int (Bytes.length framed - 4));
+  b
+
+let blit_frame b dst off =
+  let n = Buffer.length b in
+  Buffer.blit b 0 dst off n;
+  Bytes.set_int32_be dst off (Int32.of_int (n - 4))
+
+let frame_body ~v layout payload =
+  let b = stage ~v layout payload in
+  let framed = Bytes.create (Buffer.length b) in
+  blit_frame b framed 0;
   framed
 
-let decode_body ?(max_version = version) layout buf =
-  let c = L.cursor buf in
+let decode_cursor ~max_version layout c =
   match
     let v = L.read L.u8 ~version:0 c in
     if v < min_version || v > max_version then
@@ -413,7 +423,16 @@ let decode_body ?(max_version = version) layout buf =
        decode failure for wire data, never a crash. *)
     Error ("invalid value in frame: " ^ e)
 
+let decode_body ?(max_version = version) layout buf =
+  decode_cursor ~max_version layout (L.cursor buf)
+
 let encode_msg ?version:(v = version) m = frame_body ~v msg m
+
+let encode_msg_into ?version:(v = version) m room =
+  let b = stage ~v msg m in
+  let dst, off = room (Buffer.length b) in
+  blit_frame b dst off
+
 let encodable ~version m = L.fits msg ~version m
 let decode_msg ?max_version buf = decode_body ?max_version msg buf
 
@@ -512,39 +531,49 @@ let unseal_persisted ?max_version buf =
 (* ------------------------------------------------------------------ *)
 
 module Reader = struct
-  type t = { mutable acc : Bytes.t; mutable len : int; max_version : int }
+  (* [acc.[pos, len)] is what has not been read yet.  Complete frames
+     decode where they lie; [feed] moves the unread tail to the front
+     at most once, and only when the new bytes do not fit behind it. *)
+  type t = {
+    mutable acc : Bytes.t;
+    mutable pos : int;
+    mutable len : int;
+    max_version : int;
+  }
 
   let create ?(max_version = version) () =
-    { acc = Bytes.create 4096; len = 0; max_version }
+    { acc = Bytes.create 4096; pos = 0; len = 0; max_version }
 
   let feed t src off n =
     if n > 0 then begin
-      let cap = Bytes.length t.acc in
-      if t.len + n > cap then begin
-        let cap' = max (t.len + n) (2 * cap) in
-        let acc' = Bytes.create cap' in
-        Bytes.blit t.acc 0 acc' 0 t.len;
-        t.acc <- acc'
+      if t.len + n > Bytes.length t.acc then begin
+        t.acc <- Sb_util.Bytesx.compact t.acc ~from:t.pos ~upto:t.len ~room:n;
+        t.len <- t.len - t.pos;
+        t.pos <- 0
       end;
       Bytes.blit src off t.acc t.len n;
       t.len <- t.len + n
     end
 
   let next t =
-    if t.len < 4 then Ok None
+    let avail = t.len - t.pos in
+    if avail < 4 then Ok None
     else begin
-      let frame = Int32.to_int (Bytes.get_int32_be t.acc 0) in
+      let frame = Int32.to_int (Bytes.get_int32_be t.acc t.pos) in
       if frame < 1 || frame > max_frame_bytes then
         Error (Printf.sprintf "bad frame length %d" frame)
-      else if t.len < 4 + frame then Ok None
+      else if avail < 4 + frame then Ok None
       else begin
-        let body = Bytes.sub t.acc 4 frame in
-        let rest = t.len - 4 - frame in
-        Bytes.blit t.acc (4 + frame) t.acc 0 rest;
-        t.len <- rest;
-        match decode_msg ~max_version:t.max_version body with
-        | Ok m -> Ok (Some m)
-        | Error e -> Error e
+        let m =
+          decode_cursor ~max_version:t.max_version msg
+            (L.cursor ~off:(t.pos + 4) ~len:frame t.acc)
+        in
+        t.pos <- t.pos + 4 + frame;
+        if t.pos = t.len then begin
+          t.pos <- 0;
+          t.len <- 0
+        end;
+        Result.map Option.some m
       end
     end
 end

@@ -64,7 +64,12 @@ type request = {
   rq_nature : nature;
   rq_payload : Sb_storage.Block.t list;
       (** The declared code-block payload (Definition 2's channel
-          contribution), also recoverable from [rq_desc]. *)
+          contribution).  Every block it declares also travels in
+          [rq_desc], and no daemon reads this field, so the SDK sends
+          [[]]: each block crosses the wire once.  The field stays in
+          the v1-v4 layouts because removing it changes the frame
+          layout; a decoder of any version still accepts a non-empty
+          list. *)
   rq_desc : Sb_sim.Rmwdesc.t;
 }
 
@@ -137,6 +142,12 @@ val encode_msg : ?version:int -> msg -> bytes
     [?version] (default {!version}) selects the body layout for the
     peer's negotiated version. *)
 
+val encode_msg_into : ?version:int -> msg -> (int -> bytes * int) -> unit
+(** [encode_msg_into msg room] writes the frame {!encode_msg} returns
+    without allocating it: [room n] names a buffer and an offset with
+    [n] free bytes there, and the frame is copied in once.  Raises
+    [Invalid_argument] as {!encode_msg} does, before calling [room]. *)
+
 val encodable : version:int -> msg -> bool
 (** Whether a peer speaking [version] (one of [min_version..version])
     can carry the message: {!encode_msg} at that version raises
@@ -207,7 +218,9 @@ val unseal_persisted :
     bit-flip, or garbage yields [Error] — never an exception, never a
     silently-misdecoded state. *)
 
-(** Incremental frame extraction over a byte stream. *)
+(** Incremental frame extraction over a byte stream.  Complete frames
+    are decoded where they lie in the reader's buffer; the unread tail
+    moves to the front at most once per {!feed}. *)
 module Reader : sig
   type t
 
@@ -221,7 +234,8 @@ module Reader : sig
   val next : t -> (msg option, string) result
   (** The next complete frame, [Ok None] if more bytes are needed,
       [Error _] on a malformed frame (the connection should be
-      dropped).  Never raises, whatever the bytes. *)
+      dropped).  Never raises, whatever the bytes.  However the stream
+      was cut into {!feed}s, the same frames come out. *)
 end
 
 val equal_msg : msg -> msg -> bool

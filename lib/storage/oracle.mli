@@ -6,8 +6,9 @@
     the paper's [push(e, i)] / [done(i)] interface, where the second
     argument groups pushed blocks into candidate decode sets.
 
-    Oracle-internal state (the value held by an encoder, the blocks pushed
-    into a decoder) is {e not} part of the storage cost (Section 3.1). *)
+    Oracle-internal state (the value held by an encoder, the blocks it
+    has computed, the blocks pushed into a decoder) is {e not} part of
+    the storage cost (Section 3.1). *)
 
 module Encoder : sig
   type t
@@ -16,14 +17,19 @@ module Encoder : sig
   (** [create codec ~op ~value] is [oracleE(c, w)] for write [w = op]. *)
 
   val get : t -> int -> Block.t
-  (** [get t i] is [E(v, i)] tagged with source [(op, i)]. *)
+  (** [get t i] is [E(v, i)] tagged with source [(op, i)].  The block is
+      computed on the first [get] of index [i] and kept: later calls
+      return the same block without calling the codec, so an adaptive
+      write, which asks for each of its [n] blocks several times over
+      its rounds, encodes each once. *)
 
   val get_all : t -> Block.t list
   (** All [n] blocks of a fixed-rate codec, [get t 0 .. get t (n-1)];
       raises [Invalid_argument] for a rateless codec. *)
 
   val calls : t -> int
-  (** Number of [get] calls made so far (diagnostics). *)
+  (** Number of [get] calls made so far, memoised ones included
+      (diagnostics); the codec runs once per distinct index. *)
 end
 
 module Decoder : sig

@@ -63,6 +63,14 @@ let concat_chunks cs ~len =
     cs;
   Bytes.sub out 0 (min len total)
 
+let compact buf ~from ~upto ~room =
+  let live = upto - from and cap = Bytes.length buf in
+  let dst =
+    if live + room > cap then Bytes.create (max (live + room) (2 * cap)) else buf
+  in
+  Bytes.blit buf from dst 0 live;
+  dst
+
 let hex b =
   let buf = Buffer.create (2 * Bytes.length b) in
   Bytes.iter (fun ch -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code ch))) b;

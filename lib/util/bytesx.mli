@@ -28,6 +28,13 @@ val concat_chunks : bytes array -> len:int -> bytes
 (** [concat_chunks cs ~len] concatenates [cs] and truncates to [len]
     bytes; inverse of {!chunks}. *)
 
+val compact : bytes -> from:int -> upto:int -> room:int -> bytes
+(** [compact buf ~from ~upto ~room] moves the live bytes
+    [buf.[from, upto)] to offset 0 of a buffer with at least [room]
+    bytes free after them: [buf] itself when it is large enough, else a
+    new buffer at least twice its size.  For a buffer consumed from the
+    front and appended at the back. *)
+
 val hex : bytes -> string
 (** Lowercase hex rendering, for diagnostics. *)
 

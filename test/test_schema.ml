@@ -1,10 +1,11 @@
 (* Tests for Sb_schema and its integration with the service codec: the
    golden-schema drift gate (committed schemas/v<N>.json must equal what
    the codec programmatically describes), the schema-driven interpreter
-   agreeing byte-for-byte with the hand-written writers/readers, the
-   static compatibility certifier (v1 <-> v2 proved compatible, the
-   seeded incompatible edits refuted with concrete counterexamples), and
-   the decode-or-reject property for old-schema payloads. *)
+   agreeing byte-for-byte with the codec built from the Layout
+   declarations, the static compatibility certifier (v1 <-> v2 proved
+   compatible, the seeded incompatible edits refuted with concrete
+   counterexamples), and the decode-or-reject property for old-schema
+   payloads. *)
 
 module Sch = Sb_schema.Schema
 module Compat = Sb_schema.Compat
@@ -90,7 +91,7 @@ let test_hashes_distinct () =
     (String.length W.schema_hash)
 
 (* ------------------------------------------------------------------ *)
-(* Schema interpreter vs the hand-written codec                         *)
+(* Schema interpreter vs the declared codec                           *)
 (* ------------------------------------------------------------------ *)
 
 (* [decode_msg]/[decode_persisted] take the de-framed body: a version
@@ -106,8 +107,8 @@ let body_of ~v bytes =
 let unframe frame = Bytes.sub frame 4 (Bytes.length frame - 4)
 
 (* Every deterministic witness sample of the msg schema, encoded by the
-   schema interpreter, must be accepted by the hand-written reader and
-   re-encoded by the hand-written writer to the exact same frame: the
+   schema interpreter, must be accepted by the codec's reader and
+   re-encoded by its writer to the exact same frame: the
    description and the codec cannot disagree on a single byte. *)
 let test_msg_codec_agreement () =
   List.iter

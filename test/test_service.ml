@@ -184,35 +184,58 @@ let test_roundtrip =
          | Ok msg' -> Wire.equal_msg msg msg'
          | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e))
 
+(* Everything a reader yields when [stream] arrives in feeds cut at
+   the ascending offsets [cuts], draining after each feed. *)
+let read_in_feeds stream cuts =
+  let reader = Wire.Reader.create () in
+  let got = ref [] in
+  let rec drain () =
+    match Wire.Reader.next reader with
+    | Ok (Some m) ->
+      got := m :: !got;
+      drain ()
+    | Ok None -> ()
+    | Error e -> QCheck2.Test.fail_reportf "reader error: %s" e
+  in
+  let n = Bytes.length stream in
+  let rec go off = function
+    | [] ->
+      Wire.Reader.feed reader stream off (n - off);
+      drain ()
+    | cut :: rest ->
+      Wire.Reader.feed reader stream off (cut - off);
+      drain ();
+      go cut rest
+  in
+  go 0 cuts;
+  List.rev !got
+
+(* The messages repeated into a stream of at least 16 KiB, so that the
+   reader must move an unread tail to the front and grow its buffer.
+   Fed in fixed-size chunks, one byte at a time, 1000 bytes at a time,
+   or as every frame but a split tail in one feed (decoded where they
+   lie) and then the rest: the same messages come out. *)
 let test_reader_chunking =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:100
        ~name:"incremental reader reassembles arbitrarily chunked streams"
-       Gen.(pair (list_size (1 -- 5) gen_msg) (int_range 1 13))
-       (fun (msgs, chunk) ->
-         let stream =
-           Bytes.concat Bytes.empty (List.map (fun m -> Wire.encode_msg m) msgs)
-         in
-         let reader = Wire.Reader.create () in
-         let got = ref [] in
+       Gen.(triple (list_size (1 -- 5) gen_msg) (int_range 1 13) (int_bound 10_000))
+       (fun (msgs, chunk, tail_seed) ->
+         let frames = List.map (fun m -> Wire.encode_msg m) msgs in
+         let once = Bytes.concat Bytes.empty frames in
+         let copies = 1 + (16_384 / Bytes.length once) in
+         let msgs = List.concat (List.init copies (fun _ -> msgs)) in
+         let stream = Bytes.concat Bytes.empty (List.init copies (fun _ -> once)) in
          let n = Bytes.length stream in
-         let rec drain () =
-           match Wire.Reader.next reader with
-           | Ok (Some m) ->
-             got := m :: !got;
-             drain ()
-           | Ok None -> ()
-           | Error e -> QCheck2.Test.fail_reportf "reader error: %s" e
-         in
-         let off = ref 0 in
-         while !off < n do
-           let len = min chunk (n - !off) in
-           Wire.Reader.feed reader stream !off len;
-           drain ();
-           off := !off + len
-         done;
-         List.length !got = List.length msgs
-         && List.for_all2 Wire.equal_msg msgs (List.rev !got)))
+         let every k = List.init ((n - 1) / k) (fun i -> (i + 1) * k) in
+         let last = Bytes.length (List.nth frames (List.length frames - 1)) in
+         let split_tail = [ n - last + 1 + (tail_seed mod (last - 1)) ] in
+         List.for_all
+           (fun cuts ->
+             let got = read_in_feeds stream cuts in
+             List.length got = List.length msgs
+             && List.for_all2 Wire.equal_msg msgs got)
+           [ every chunk; every 1; every 1000; split_tail ]))
 
 (* One rule for what each version can carry: [Wire.encodable] holds
    exactly when [encode_msg] at that version does not raise. *)
@@ -828,6 +851,78 @@ let test_conn_partial_writes () =
         (Bytes.to_string big ^ Bytes.to_string small)
         (Buffer.contents acc))
 
+(* A connection without hooks encodes in place; one whose hook passes
+   every frame builds each frame first.  Both put the same bytes on the
+   socket, the bytes [Wire.encode_msg] returns, and a frame sent behind
+   a delayed segment leaves after it. *)
+let test_conn_in_place_matches_hooked () =
+  let blk i = Block.v ~source:7 ~index:i (Bytes.make 40 (Char.chr (65 + i))) in
+  let ts = Timestamp.make ~num:3 ~client:1 in
+  let rq key ticket =
+    {
+      Wire.rq_key = key; rq_client = 1; rq_ticket = ticket; rq_op = 2;
+      rq_nature = `Mutating; rq_payload = [];
+      rq_desc = D.Adaptive_gc { piece = blk ticket; ts };
+    }
+  in
+  let stats =
+    Wire.Stats
+      {
+        st_server = 2; st_incarnation = 3; st_storage_bits = 4096;
+        st_max_bits = 8192; st_dedup_hits = 1; st_applied = 9; st_keys = 2;
+        st_shards =
+          [
+            {
+              ss_shard = 0; ss_incarnation = 3; ss_keys = 2;
+              ss_storage_bits = 4096; ss_max_bits = 8192; ss_max_key_bits = 2048;
+            };
+          ];
+      }
+  in
+  let sends =
+    [
+      (1, Wire.hello);
+      (Wire.version, Wire.hello);
+      (1, Wire.Request (rq "" 1));
+      (Wire.version, Wire.Request (rq "k" 2));
+      (3, Wire.Req_batch [ rq "a" 3; rq "b" 4; rq "c" 5 ]);
+      (Wire.version, Wire.Req_batch [ rq "a" 6; rq "b" 7 ]);
+      (1, stats);
+      (Wire.version, stats);
+    ]
+  in
+  let expected =
+    String.concat ""
+      (List.map (fun (version, m) -> Bytes.to_string (Wire.encode_msg ~version m)) sends)
+  in
+  let on_socket hooks =
+    with_pair ~hooks (fun c peer ->
+        List.iter (fun (version, m) -> Conn.send_msg c ~now:0.0 ~version m) sends;
+        let acc = Buffer.create 1024 in
+        while Conn.pending c do
+          Conn.flush c;
+          Buffer.add_string acc (fst (read_available peer))
+        done;
+        Buffer.contents acc)
+  in
+  let pass = { Netfault.none with Netfault.nf_frame = (fun ~server:_ _ -> Netfault.Pass) } in
+  Alcotest.(check string) "in place: the frames encode_msg builds" expected
+    (on_socket Netfault.none);
+  Alcotest.(check string) "hooked: the same bytes" expected (on_socket pass);
+  let f1 = frame_of 1 in
+  let hooks, asked = scripted [ Netfault.Emit [ (10, f1) ] ] in
+  with_pair ~hooks (fun c peer ->
+      Conn.send c ~now:0.0 f1;
+      Conn.send_msg c ~now:0.0 ~version:Wire.version stats;
+      Alcotest.(check int) "the hook saw the encoded frame" 2 !asked;
+      Alcotest.(check bool) "nothing overtakes the delayed segment" false
+        (Conn.pending c);
+      Conn.tick c ~now:10.0;
+      Conn.flush c;
+      Alcotest.(check string) "the delayed segment leaves first"
+        (Bytes.to_string f1 ^ Bytes.to_string (Wire.encode_msg stats))
+        (fst (read_available peer)))
+
 (* ------------------------------------------------------------------ *)
 (* Live clusters (forked daemon process)                               *)
 (* ------------------------------------------------------------------ *)
@@ -972,6 +1067,55 @@ let test_sim_socket_parity () =
             Alcotest.failf "decision %d diverges: sim %a vs socket %a" i D.pp a
               D.pp b)
         (List.combine sim_descs r.Sdk.desc_log))
+
+(* Each coded block is computed once.  One adaptive write at
+   k = f = 2 (n = 6) asks its encoding oracle for blocks 4n + k = 26
+   times over its three rounds; the oracle keeps each block, so the
+   codec runs once per index, in the simulator and over sockets. *)
+let test_one_encode_per_block () =
+  let value_bytes = 64 and f = 2 and k = 2 in
+  let n = (2 * f) + k in
+  let plain = Codec.rs_vandermonde ~value_bytes ~k ~n in
+  let encodes = ref 0 in
+  let counted =
+    {
+      plain with
+      Codec.encode =
+        (fun v i ->
+          incr encodes;
+          plain.Codec.encode v i);
+    }
+  in
+  let adaptive codec = Sb_registers.Adaptive.make { Common.n; f; codec } in
+  let v = Sb_experiments.Workloads.distinct_value ~value_bytes 1 in
+  let module Enc = Sb_storage.Oracle.Encoder in
+  let enc = Enc.create counted ~op:1 ~value:v in
+  let b = Enc.get enc 3 in
+  Alcotest.(check bool) "a second get returns the same block" true (Enc.get enc 3 == b);
+  Alcotest.(check int) "one encode for both" 1 !encodes;
+  (* The world encodes its initial blocks when it is created, before
+     the count starts. *)
+  let w =
+    R.create ~seed:1 ~algorithm:(adaptive counted) ~n ~f
+      ~workload:[| [ Trace.Write v ] |] ()
+  in
+  encodes := 0;
+  let oc = R.run w (R.random_policy ~seed:1 ()) in
+  Alcotest.(check bool) "the simulated write finished" true oc.R.quiescent;
+  Alcotest.(check int) "Runtime: one encode per block" n !encodes;
+  (* Over sockets.  The daemon is forked, not run on a domain of this
+     process: OCaml refuses [Unix.fork] once a domain has been spawned,
+     and the other cluster cases fork theirs.  Its encodes happen in the
+     child, so the count is the SDK's alone. *)
+  with_cluster ~algorithm:(adaptive counted) ~n (fun sockdir ->
+      encodes := 0;
+      let r =
+        Sdk.run_keyed ~algorithm:(adaptive counted) ~seed:1
+          ~workload:[| [ ("k", Trace.Write v) ] |]
+          (Sdk.default_config ~n ~f ~sockdir)
+      in
+      Alcotest.(check int) "the socket write completed" 1 r.Sdk.ops_completed;
+      Alcotest.(check int) "Sdk: one encode per block" n !encodes)
 
 (* Two SDK sessions against one daemon, with the same seed and slot
    layout, each write the same key: the second session's requests repeat
@@ -1548,12 +1692,16 @@ let () =
             test_conn_drained;
           Alcotest.test_case "partial writes resume in order" `Quick
             test_conn_partial_writes;
+          Alcotest.test_case "in-place and hooked framing agree" `Quick
+            test_conn_in_place_matches_hooked;
         ] );
       ( "cluster",
         [
           Alcotest.test_case "workload over sockets" `Quick test_cluster_workload;
           Alcotest.test_case "sim/socket protocol parity" `Quick
             test_sim_socket_parity;
+          Alcotest.test_case "one encode per coded block" `Quick
+            test_one_encode_per_block;
           Alcotest.test_case "sessions keep their dedup keys apart" `Quick
             test_sessions_keep_dedup_apart;
           Alcotest.test_case "restart recovers into a fresh incarnation" `Quick

@@ -155,6 +155,17 @@ let test_chunks_roundtrip =
       && Array.for_all (fun c -> Bytes.length c = size) cs
       && Bytes.equal (Bytesx.concat_chunks cs ~len) b)
 
+let test_compact () =
+  let buf = Bytes.of_string "xxabcdef" in
+  let same = Bytesx.compact buf ~from:2 ~upto:5 ~room:4 in
+  Alcotest.(check bool) "fits: the same buffer" true (same == buf);
+  Alcotest.(check string) "live bytes at the front" "abc"
+    (Bytes.sub_string same 0 3);
+  let grown = Bytesx.compact (Bytes.of_string "xxabcdef") ~from:2 ~upto:8 ~room:5 in
+  Alcotest.(check bool) "grown: at least twice the size" true
+    (Bytes.length grown >= 16);
+  Alcotest.(check string) "live bytes kept" "abcdef" (Bytes.sub_string grown 0 6)
+
 let test_hex () =
   Alcotest.(check string) "hex" "00ff10" (Bytesx.hex (Bytes.of_string "\x00\xff\x10"))
 
@@ -249,6 +260,7 @@ let () =
           Alcotest.test_case "int overflow" `Quick test_int_le_overflow;
           Alcotest.test_case "pad_to" `Quick test_pad_to;
           test_chunks_roundtrip;
+          Alcotest.test_case "compact" `Quick test_compact;
           Alcotest.test_case "hex" `Quick test_hex;
           test_hex_roundtrip;
           Alcotest.test_case "of_hex errors" `Quick test_of_hex_errors;
