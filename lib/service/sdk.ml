@@ -195,12 +195,17 @@ let dial_failed eng s =
   eng.fail_streak.(s) <- eng.fail_streak.(s) + 1;
   eng.conns.(s) <- Down { retry_at = now_ms eng +. retry_delay eng s }
 
-(* Frames go out at the server's negotiated version.  A closing
-   connection drops the frame; retransmission takes over once the close
-   lands and the server is re-dialled. *)
+(* Frames go out at the server's negotiated version, and each is
+   written as soon as it is framed (what the socket does not take waits
+   for select): a full batch reaches its server while the engine is
+   still working through the round's replies, so client and server
+   overlap instead of taking turns.  A closing connection drops the
+   frame; retransmission takes over once the close lands and the server
+   is re-dialled. *)
 let send_msg eng s c msg =
   if not (Conn.closing c.io) then eng.frames_sent <- eng.frames_sent + 1;
-  Conn.send_msg c.io ~now:(now_ms eng) ~version:eng.peer_version.(s) msg
+  Conn.send_msg c.io ~now:(now_ms eng) ~version:eng.peer_version.(s) msg;
+  Conn.flush c.io
 
 let try_connect eng s =
   if not (eng.hooks.Netfault.nf_connect ~server:s) then dial_failed eng s
