@@ -9,7 +9,6 @@ type error =
   | Negative_budget of { budget : int }
   | Budget_exceeds_f of { budget : int; f : int }
   | Op_not_supported of { model : t; cls : op_class }
-  | Opaque_rmw of { model : t }
   | Policy_mismatch of { model : t; reason : string }
 
 exception Error of error
@@ -39,11 +38,6 @@ let error_to_string = function
        objects offer read and blind overwrite only (Chockler-Spiegelman, \
        arXiv:1705.07212)"
       (to_string model) (class_name cls)
-  | Opaque_rmw { model } ->
-    Printf.sprintf
-      "base-object model '%s' requires a serializable operation description; \
-       an opaque RMW closure cannot be classified"
-      (to_string model)
   | Policy_mismatch { model; reason } ->
     Printf.sprintf "byzantine policy rejected under model '%s': %s"
       (to_string model) reason
@@ -60,14 +54,7 @@ let allows t cls =
   | Read_write, General -> false
 
 let check_op t cls =
-  match t with
-  | Rmw | Byzantine _ -> ()
-  | Read_write -> (
-    match cls with
-    | None -> raise (Error (Opaque_rmw { model = t }))
-    | Some cls ->
-      if not (allows t cls) then
-        raise (Error (Op_not_supported { model = t; cls })))
+  if not (allows t cls) then raise (Error (Op_not_supported { model = t; cls }))
 
 let fifo_writes = function Read_write -> true | Rmw | Byzantine _ -> false
 let budget = function Byzantine { budget } -> budget | Rmw | Read_write -> 0

@@ -51,9 +51,6 @@ type error =
   | Op_not_supported of { model : t; cls : op_class }
       (** A register triggered an operation class the base objects do
           not implement (e.g. a merge-class store over [Read_write]). *)
-  | Opaque_rmw of { model : t }
-      (** A raw closure without a serializable description reached a
-          model that must inspect the operation class. *)
   | Policy_mismatch of { model : t; reason : string }
       (** A Byzantine policy was supplied for a non-Byzantine model, or
           compromises more objects than the model's budget. *)
@@ -66,11 +63,9 @@ val allows : t -> op_class -> bool
 (** [Rmw] and [Byzantine _] allow everything; [Read_write] allows only
     [Read] and [Overwrite]. *)
 
-val check_op : t -> op_class option -> unit
+val check_op : t -> op_class -> unit
 (** Gate applied by the runtimes at trigger time: raises {!Error}
-    ([Op_not_supported] or [Opaque_rmw]) when the model rejects the
-    class.  [None] means the RMW came as an opaque closure — fine under
-    [Rmw], rejected by the restricted models. *)
+    [Op_not_supported] when the model rejects the class. *)
 
 val fifo_writes : t -> bool
 (** Whether the model imposes per-(client, object) FIFO delivery —

@@ -8,22 +8,22 @@ module Rt = Sb_service.Client_core.Retransmit
 
 type message_kind = Request | Response
 
+(* A request carries its RMW's description — exactly what
+   [Sb_service.Wire] puts on a real wire, so the two transports ship
+   identical requests — with the blocks it carries
+   ([Rmwdesc.payload desc], kept from the send); a response carries the
+   RMW's result. *)
+type body =
+  | Req of { desc : Sb_sim.Rmwdesc.t; payload : Sb_storage.Block.t list }
+  | Resp of R.resp
+
 type message = {
   msg_id : int;
-  kind : message_kind;
   m_client : int;
   m_server : int;
   m_ticket : int;
   m_op : int;
-  (* Requests carry the RMW and its declared payload; responses carry
-     the RMW's result. *)
-  req : (R.rmw * Sb_storage.Block.t list) option;
-  (* The RMW's serializable description, when the protocol supplied one.
-     This is exactly what [Sb_service.Wire] puts on a real wire; the
-     simulator carries it alongside the closure so the two transports
-     ship identical requests. *)
-  m_desc : Sb_sim.Rmwdesc.t option;
-  resp : R.resp option;
+  body : body;
   m_nature : R.rmw_nature;
   (* The destination server's incarnation when a request was (re)sent;
      the sending server's incarnation for a response.  Deliveries whose
@@ -123,21 +123,22 @@ let resp_bits = function
   | R.Snap st -> Objstate.bits st
 
 let message_bits m =
-  match (m.req, m.resp) with
-  | Some (_, payload), _ -> Sb_storage.Accounting.bits_of_blocks payload
-  | None, Some resp -> resp_bits resp
-  | None, None -> 0
+  match m.body with
+  | Req { payload; _ } -> Sb_storage.Accounting.bits_of_blocks payload
+  | Resp resp -> resp_bits resp
+
+let kind m = match m.body with Req _ -> Request | Resp _ -> Response
 
 let info_of (m : message) : message_info =
   {
     msg_id = m.msg_id;
-    kind = m.kind;
+    kind = kind m;
     m_client = m.m_client;
     m_server = m.m_server;
     m_ticket = m.m_ticket;
     m_op = m.m_op;
     m_bits = message_bits m;
-    m_desc = m.m_desc;
+    m_desc = (match m.body with Req { desc; _ } -> Some desc | Resp _ -> None);
     m_incarnation = m.m_incarnation;
     sent_at = m.sent_at;
   }
@@ -210,12 +211,12 @@ let visible_blocks_excluding w ~client =
   (* sb-lint: allow hashtbl-order — feeds Accounting.contribution, an order-insensitive index-set sum *)
   Hashtbl.fold
     (fun _ (m : message) acc ->
-      match (m.req, m.resp) with
-      | Some (_, payload), _ ->
+      match m.body with
+      | Req { payload; _ } ->
         if m.m_client = client || w.clients.(m.m_client).crashed then acc
         else payload @ acc
-      | None, Some (R.Snap st) -> Objstate.blocks st @ acc
-      | None, _ -> acc)
+      | Resp (R.Snap st) -> Objstate.blocks st @ acc
+      | Resp R.Ack -> acc)
     w.channel server_blocks
 
 let op_contribution w (op : R.op) =
@@ -263,9 +264,9 @@ let fresh_msg_id w =
   id
 
 let send w (msg : message) =
-  (match msg.kind with
-   | Request -> w.requests_sent <- w.requests_sent + 1
-   | Response -> w.responses_sent <- w.responses_sent + 1);
+  (match msg.body with
+   | Req _ -> w.requests_sent <- w.requests_sent + 1
+   | Resp _ -> w.responses_sent <- w.responses_sent + 1);
   Hashtbl.add w.channel msg.msg_id msg;
   w.channel_order <- msg.msg_id :: w.channel_order
 
@@ -275,20 +276,17 @@ let send w (msg : message) =
 let transport =
   {
     Engine.send =
-      (fun w fb op obj payload rmw nature desc ->
+      (fun w fb op obj nature desc ->
         let ticket = w.next_ticket in
         w.next_ticket <- ticket + 1;
         let msg =
           {
             msg_id = fresh_msg_id w;
-            kind = Request;
             m_client = fb.Engine.cid;
             m_server = obj;
             m_ticket = ticket;
             m_op = op.R.id;
-            req = Some (rmw, payload);
-            m_desc = desc;
-            resp = None;
+            body = Req { desc; payload = Sb_sim.Rmwdesc.payload desc };
             m_nature = nature;
             m_incarnation = Score.incarnation w.servers.(obj);
             sent_at = w.now;
@@ -400,14 +398,14 @@ type decision =
 type policy = world -> decision
 
 let destination_alive w (m : message) =
-  match m.kind with
-  | Request -> w.server_live.(m.m_server)
-  | Response -> not w.clients.(m.m_client).crashed
+  match m.body with
+  | Req _ -> w.server_live.(m.m_server)
+  | Resp _ -> not w.clients.(m.m_client).crashed
 
 (* Channel identity: messages between the same (client, server) pair in
    the same direction share a channel; FIFO mode only exposes the oldest
    undelivered message on each channel. *)
-let channel_key (m : message) = (m.kind, m.m_client, m.m_server)
+let channel_key (m : message) = (kind m, m.m_client, m.m_server)
 
 (* The read/write base-object model guarantees per-(client, object)
    issue-order application regardless of the configured transport mode:
@@ -415,7 +413,7 @@ let channel_key (m : message) = (m.kind, m.m_client, m.m_server)
    never roll a cell backwards past a newer write on the same channel.
    Response channels stay free to reorder. *)
 let fifo_channel w (m : message) =
-  w.fifo || (Sb_baseobj.Model.fifo_writes w.base_model && m.kind = Request)
+  w.fifo || (Sb_baseobj.Model.fifo_writes w.base_model && kind m = Request)
 
 let head_of_channel w (m : message) =
   List.for_all
@@ -456,14 +454,11 @@ let send_response w ~(to_request : message) resp =
     send w
       {
         msg_id = fresh_msg_id w;
-        kind = Response;
         m_client = to_request.m_client;
         m_server = to_request.m_server;
         m_ticket = to_request.m_ticket;
         m_op = to_request.m_op;
-        req = None;
-        m_desc = None;
-        resp = Some resp;
+        body = Resp resp;
         m_nature = to_request.m_nature;
         m_incarnation = Score.incarnation w.servers.(to_request.m_server);
         sent_at = w.now;
@@ -471,7 +466,7 @@ let send_response w ~(to_request : message) resp =
 
 (* A request took effect at its server (or a compromised server claims
    it did): trace and report the delivery, then answer. *)
-let applied w (m : message) rmw ~before ~after resp =
+let applied w (m : message) desc ~before ~after resp =
   Trace.add w.tr
     (Rmw_deliver { time = w.now; ticket = m.m_ticket; obj = m.m_server });
   if observed w then
@@ -483,7 +478,7 @@ let applied w (m : message) rmw ~before ~after resp =
            client = m.m_client;
            op = m.m_op;
            nature = m.m_nature;
-           rmw;
+           desc;
            before;
            after;
            resp;
@@ -507,11 +502,8 @@ let deliver_msg w id =
     if m.m_incarnation <> Score.incarnation w.servers.(m.m_server) then
       w.fenced <- w.fenced + 1
     else
-      match m.kind with
-      | Request -> (
-        let rmw, _payload =
-          match m.req with Some r -> r | None -> assert false
-        in
+      match m.body with
+      | Req { desc; _ } -> (
         (* A compromised server lies instead of consulting the server
            core: it acknowledges without applying, or fabricates a
            well-formed state.  The lie bypasses the at-most-once table
@@ -520,13 +512,8 @@ let deliver_msg w id =
         let lie =
           match w.byz with
           | Some bp when bp.Sb_baseobj.Model.bp_compromised m.m_server ->
-            let cls =
-              match m.m_desc with
-              | Some d -> Sb_sim.Rmwdesc.op_class d
-              | None -> Sb_baseobj.Model.General
-            in
             bp.Sb_baseobj.Model.bp_act ~obj:m.m_server ~client:m.m_client
-              ~cls
+              ~cls:(Sb_sim.Rmwdesc.op_class desc)
               ~before:(Score.state w.servers.(m.m_server))
               ~init:w.init_states.(m.m_server)
           | _ -> Sb_baseobj.Model.Honest
@@ -539,7 +526,7 @@ let deliver_msg w id =
             | Sb_baseobj.Model.Fabricate fake -> R.Snap fake
             | _ -> R.Ack
           in
-          applied w m rmw ~before:st ~after:st resp
+          applied w m desc ~before:st ~after:st resp
         | Sb_baseobj.Model.Honest ->
         (* The shared server core either answers from the at-most-once
            table (a duplicate within this incarnation: network
@@ -547,17 +534,16 @@ let deliver_msg w id =
            applies the RMW atomically now and records its response. *)
         let oc =
           Score.handle w.servers.(m.m_server) ~client:m.m_client
-            ~ticket:m.m_ticket ~nature:m.m_nature rmw
+            ~ticket:m.m_ticket ~nature:m.m_nature (Sb_sim.Rmwdesc.apply desc)
         in
         if oc.Score.dedup_hit then begin
           w.dedup_hits <- w.dedup_hits + 1;
           send_response w ~to_request:m oc.Score.resp
         end
         else
-          applied w m rmw ~before:oc.Score.before ~after:oc.Score.after
+          applied w m desc ~before:oc.Score.before ~after:oc.Score.after
             oc.Score.resp)
-      | Response ->
-        let resp = match m.resp with Some r -> r | None -> assert false in
+      | Resp resp ->
         Mailbox.record w.responses ~ticket:m.m_ticket ~obj:m.m_server resp;
         Rt.cancel w.timers m.m_ticket)
 
@@ -638,7 +624,7 @@ let step w decision =
         List.filter
           (fun id ->
             let m = Hashtbl.find w.channel id in
-            m.kind = Request && m.m_server = i)
+            kind m = Request && m.m_server = i)
           w.channel_order
       in
       List.iter (fun id -> Hashtbl.remove w.channel id) doomed;

@@ -7,8 +7,6 @@ module D = Sb_sim.Rmwdesc
    join — and [Lww_store] is the last-writer-wins overwrite used only by
    [make_misdeclared_merge] below, whose concurrent stores do NOT
    commute even though the broadcast still declares [`Merge]. *)
-let store_rmw chunk : R.rmw = D.apply (D.Abd_store chunk)
-
 let make_gen ?(store = fun c -> D.Abd_store c) ~name ~write_quorum
     (cfg : Common.config) =
   Common.validate cfg;
@@ -32,9 +30,8 @@ let make_gen ?(store = fun c -> D.Abd_store c) ~name ~write_quorum
          [`Merge] declaration is explicit (not derived from the
          description) because [make_misdeclared_merge] keeps it while
          swapping in the non-commuting store. *)
-      R.broadcast_desc ~nature:`Merge ~n:cfg.n
-        ~payload:(fun i -> [ Oracle.Encoder.get encoder i ])
-        (fun i -> store (Chunk.v ~ts (Oracle.Encoder.get encoder i)))
+      R.broadcast ~nature:`Merge ~n:cfg.n (fun i ->
+          store (Chunk.v ~ts (Oracle.Encoder.get encoder i)))
     in
     ignore (R.await ~tickets ~quorum:write_quorum)
   in

@@ -30,8 +30,3 @@ val make_misdeclared_merge : Common.config -> Sb_sim.Runtime.algorithm
     commutativity is exactly what the model checker's independence
     relation trusts, making this the seeded control for the
     [Sb_sanitize] commutativity monitor and independence audit. *)
-
-val store_rmw : Sb_storage.Chunk.t -> Sb_sim.Runtime.rmw
-(** The conditional-overwrite RMW used by the update round: replaces the
-    single [Vf] replica if the incoming timestamp is strictly higher.
-    Shared with {!Abd_atomic}'s write-back phase. *)

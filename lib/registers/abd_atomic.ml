@@ -13,16 +13,14 @@ let make (cfg : Common.config) =
      concurrent write-backs of one value would then fail to commute,
      and the [Sb_sanitize] availability monitor would see quorum
      subsets holding only orphaned blocks.  Because the write-back
-     stores through [Abd.store_rmw] (an idempotent join), a duplicated
+     stores through [Rmwdesc.Abd_store] (an idempotent join), a duplicated
      or retransmitted write-back re-applied after a server recovery is
      also harmless. *)
   let write_back (ctx : R.ctx) ~source ts value =
     let encoder = Oracle.Encoder.create cfg.codec ~op:source ~value in
     ctx.op.rounds <- ctx.op.rounds + 1;
     let tickets =
-      R.broadcast_desc ~n:cfg.n
-        ~payload:(fun i -> [ Oracle.Encoder.get encoder i ])
-        (fun i ->
+      R.broadcast ~n:cfg.n (fun i ->
           Sb_sim.Rmwdesc.Abd_store (Chunk.v ~ts (Oracle.Encoder.get encoder i)))
     in
     ignore (R.await ~tickets ~quorum:(Common.quorum cfg))

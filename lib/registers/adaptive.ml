@@ -34,15 +34,8 @@ let make_gen ~name ~replicate ?(eviction = D.Barrier) ?(read_barrier = true)
     let ts = Timestamp.make ~num:(Common.max_num rs + 1) ~client:ctx.self in
     (* Round 2: update (lines 8-10). *)
     ctx.op.rounds <- ctx.op.rounds + 1;
-    let update_payload i =
-      let p = piece i in
-      if replicate && not (List.exists (fun b -> b.Block.index = i) replica_pieces)
-      then p :: replica_pieces
-      else if replicate then replica_pieces
-      else [ p ]
-    in
     let tickets =
-      R.broadcast_desc ~n:cfg.n ~payload:update_payload (fun i ->
+      R.broadcast ~n:cfg.n (fun i ->
           D.Adaptive_update
             {
               replicate;
@@ -59,9 +52,7 @@ let make_gen ~name ~replicate ?(eviction = D.Barrier) ?(read_barrier = true)
     (* Round 3: garbage collection (lines 11-13). *)
     ctx.op.rounds <- ctx.op.rounds + 1;
     let tickets =
-      R.broadcast_desc ~n:cfg.n
-        ~payload:(fun i -> [ piece i ])
-        (fun i -> D.Adaptive_gc { piece = piece i; ts })
+      R.broadcast ~n:cfg.n (fun i -> D.Adaptive_gc { piece = piece i; ts })
     in
     ignore (R.await ~tickets ~quorum:(Common.quorum cfg))
   in

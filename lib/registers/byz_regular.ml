@@ -82,16 +82,15 @@ let make ~budget (cfg : Common.config) =
     ctx.op.rounds <- ctx.op.rounds + 1;
     let encoder = Oracle.Encoder.create cfg.codec ~op:ctx.op.id ~value:v in
     let tickets =
-      R.broadcast_desc ~nature:`Merge ~n:cfg.n
-        ~payload:(fun i -> [ Oracle.Encoder.get encoder i ])
-        (fun i -> D.Abd_store (Chunk.v ~ts (Oracle.Encoder.get encoder i)))
+      R.broadcast ~nature:`Merge ~n:cfg.n (fun i ->
+          D.Abd_store (Chunk.v ~ts (Oracle.Encoder.get encoder i)))
     in
     ignore (R.await ~tickets ~quorum:(Common.quorum cfg))
   in
   let read (ctx : R.ctx) =
     ctx.op.rounds <- ctx.op.rounds + 1;
     let tickets =
-      R.broadcast_desc ~n:cfg.n ~payload:(fun _ -> []) (fun _ -> D.Snapshot)
+      R.broadcast ~n:cfg.n (fun _ -> D.Snapshot)
     in
     let rs = R.await ~tickets ~quorum:(Common.quorum cfg) in
     let candidates =

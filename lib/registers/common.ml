@@ -14,9 +14,6 @@ let validate cfg =
 let quorum cfg = cfg.n - cfg.f
 let initial_value cfg = Bytes.make cfg.codec.Sb_codec.Codec.value_bytes '\000'
 
-let read_snapshot_rmw : Sb_sim.Runtime.rmw =
-  Sb_sim.Rmwdesc.(apply Snapshot)
-
 type read_set = {
   max_stored_ts : Timestamp.t;
   chunks : Chunk.t list;
@@ -25,9 +22,7 @@ type read_set = {
 let read_value cfg (ctx : Sb_sim.Runtime.ctx) =
   ctx.op.rounds <- ctx.op.rounds + 1;
   let tickets =
-    Sb_sim.Runtime.broadcast_desc ~n:cfg.n
-      ~payload:(fun _ -> [])
-      (fun _ -> Sb_sim.Rmwdesc.Snapshot)
+    Sb_sim.Runtime.broadcast ~n:cfg.n (fun _ -> Sb_sim.Rmwdesc.Snapshot)
   in
   let resps = Sb_sim.Runtime.await ~tickets ~quorum:(quorum cfg) in
   List.fold_left

@@ -23,10 +23,6 @@ val quorum : config -> int
 val initial_value : config -> bytes
 (** The all-zero initial value [v0]. *)
 
-val read_snapshot_rmw : Sb_sim.Runtime.rmw
-(** The RMW used by read rounds: leaves the state unchanged and returns
-    a snapshot. *)
-
 type read_set = {
   max_stored_ts : Sb_storage.Timestamp.t;
   (** Highest [storedTS] among the responding objects. *)

@@ -36,14 +36,13 @@ let make ?(blocks_per_object = 2) ~codec_seed (cfg : Common.config) =
     let ts = Timestamp.make ~num:(Common.max_num rs + 1) ~client:ctx.self in
     ctx.op.rounds <- ctx.op.rounds + 1;
     let tickets =
-      R.broadcast_desc ~n:cfg.n ~payload:pieces_for (fun i ->
+      R.broadcast ~n:cfg.n (fun i ->
           D.Rateless_update { pieces = pieces_for i; ts; stored_ts })
     in
     ignore (R.await ~tickets ~quorum);
     ctx.op.rounds <- ctx.op.rounds + 1;
     let tickets =
-      R.broadcast_desc ~n:cfg.n ~payload:pieces_for (fun i ->
-          D.Rateless_gc { pieces = pieces_for i; ts })
+      R.broadcast ~n:cfg.n (fun i -> D.Rateless_gc { pieces = pieces_for i; ts })
     in
     ignore (R.await ~tickets ~quorum)
   in

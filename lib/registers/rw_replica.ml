@@ -42,17 +42,12 @@ let layout ~writers (cfg : Common.config) =
 (* Cells of writer [g]'s group, as global object ids. *)
 let cells lay g = List.init lay.group (fun j -> (g * lay.group) + j)
 
-let overwrite ~obj ~chunks ~ts =
-  let desc = D.Rw_write { chunks; ts } in
-  R.trigger ~desc
-    ~obj
-    ~payload:(List.map (fun (c : Chunk.t) -> c.block) chunks)
-    (D.apply desc)
+let overwrite ~obj ~chunks ~ts = R.trigger ~obj (D.Rw_write { chunks; ts })
 
 let snapshot_round (cfg : Common.config) (ctx : R.ctx) =
   ctx.op.rounds <- ctx.op.rounds + 1;
   let tickets =
-    R.broadcast_desc ~n:cfg.n ~payload:(fun _ -> []) (fun _ -> D.Snapshot)
+    R.broadcast ~n:cfg.n (fun _ -> D.Snapshot)
   in
   R.await ~tickets ~quorum:(Common.quorum cfg)
 

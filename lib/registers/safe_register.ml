@@ -17,9 +17,7 @@ let make (cfg : Common.config) =
     let ts = Timestamp.make ~num:(Common.max_num rs + 1) ~client:ctx.self in
     ctx.op.rounds <- ctx.op.rounds + 1;
     let tickets =
-      R.broadcast_desc ~n:cfg.n
-        ~payload:(fun i -> [ Oracle.Encoder.get encoder i ])
-        (fun i ->
+      R.broadcast ~n:cfg.n (fun i ->
           Sb_sim.Rmwdesc.Safe_update (Chunk.v ~ts (Oracle.Encoder.get encoder i)))
     in
     ignore (R.await ~tickets ~quorum:(Common.quorum cfg))

@@ -81,7 +81,7 @@ type tinfo = { ti_obj : int; ti_clk : Vclock.t }
 type last_delivery = {
   ld_ticket : int;
   ld_nature : R.rmw_nature;
-  ld_rmw : R.rmw;
+  ld_desc : Sb_sim.Rmwdesc.t;
   ld_before : Objstate.t;
   ld_after : Objstate.t;
   ld_resp : R.resp;
@@ -388,7 +388,7 @@ let on_trigger m ~ticket ~obj (op : R.op) payload =
 let commuting_class (a : R.rmw_nature) (b : R.rmw_nature) =
   match a, b with `Readonly, `Readonly | `Merge, `Merge -> true | _ -> false
 
-let on_deliver m ~ticket ~obj ~nature ~(rmw : R.rmw) ~before ~after ~resp =
+let on_deliver m ~ticket ~obj ~nature ~desc ~before ~after ~resp =
   if m.obj_dead.(obj) then
     record m
       (Crash_discipline { detail = "delivery on a crashed object" })
@@ -396,7 +396,7 @@ let on_deliver m ~ticket ~obj ~nature ~(rmw : R.rmw) ~before ~after ~resp =
   (* A compromised object's deliveries are exempt from the behavioural
      monitors: its "RMW applications" may be fabrications that neither
      mutate state nor respect at-most-once (equivocation between retries
-     is exactly what the Byzantine model grants), so re-applying closures
+     is exactly what the Byzantine model grants), so re-applying RMWs
      or counting applications would flag the lie, not a bug.  Storage
      accounting and the floor check still apply — lies never touch the
      stored state. *)
@@ -424,16 +424,16 @@ let on_deliver m ~ticket ~obj ~nature ~(rmw : R.rmw) ~before ~after ~resp =
      and the two triggers are causally concurrent, the scheduler could
      have delivered them in the other order — and the model checker's
      independence relation assumes the result is the same.  Re-apply the
-     two (pure) RMW closures in swapped order and compare. *)
+     two (pure) descriptions in swapped order and compare. *)
   (match ti, Hashtbl.find_opt m.last_deliver obj with
   | _ when compromised -> ()
   | Some ti, Some ld
     when ld.ld_after = before
          && commuting_class ld.ld_nature nature
          && Vclock.concurrent ti.ti_clk ld.ld_clk -> (
-    match rmw ld.ld_before with
+    match Sb_sim.Rmwdesc.apply desc ld.ld_before with
     | s1, r1 ->
-      let s2, r2 = ld.ld_rmw s1 in
+      let s2, r2 = Sb_sim.Rmwdesc.apply ld.ld_desc s1 in
       if not (s2 = after && r1 = resp && r2 = ld.ld_resp) then
         record m
           (Commutativity { obj; first = ld.ld_ticket; second = ticket })
@@ -464,7 +464,7 @@ let on_deliver m ~ticket ~obj ~nature ~(rmw : R.rmw) ~before ~after ~resp =
         {
           ld_ticket = ticket;
           ld_nature = nature;
-          ld_rmw = rmw;
+          ld_desc = desc;
           ld_before = before;
           ld_after = after;
           ld_resp = resp;
@@ -556,10 +556,10 @@ let handle m (ev : R.event) =
   match ev with
   | R.E_invoke { op } -> on_invoke m op
   | R.E_return { op; _ } -> on_return m op
-  | R.E_trigger { ticket; obj; op; nature = _; payload } ->
-    on_trigger m ~ticket ~obj op payload
-  | R.E_deliver { ticket; obj; nature; rmw; before; after; resp; _ } ->
-    on_deliver m ~ticket ~obj ~nature ~rmw ~before ~after ~resp
+  | R.E_trigger { ticket; obj; op; nature = _; desc } ->
+    on_trigger m ~ticket ~obj op (Sb_sim.Rmwdesc.payload desc)
+  | R.E_deliver { ticket; obj; nature; desc; before; after; resp; _ } ->
+    on_deliver m ~ticket ~obj ~nature ~desc ~before ~after ~resp
   | R.E_await { op; tickets; quorum; responders } ->
     on_await m op ~tickets ~quorum ~responders
   | R.E_crash_obj o -> on_crash_obj m o

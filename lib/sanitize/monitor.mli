@@ -12,7 +12,7 @@
       and awaits; whenever two causally {e concurrent} RMWs of a
       declared commuting class ([`Readonly]/[`Readonly] or
       [`Merge]/[`Merge]) take effect back-to-back on one object, it
-      re-applies the two pure RMW closures in the swapped order and
+      re-applies the two RMW descriptions in the swapped order and
       flags any difference in final state or responses.  This catches a
       mis-declared nature — an unsound DPOR reduction — in whatever
       schedule the test happens to run.

@@ -344,20 +344,13 @@ let timer_live eng ticket (t : (int * Wire.msg) Rt.timer) =
 (* Sockets as a transport of the client engine: a trigger encodes its
    description into a request, batched per connection when batching is
    armed, and arms a retransmission timer; an await reads the
-   mailbox.  The request's payload is empty: every block it declares
-   already travels in the description, and no daemon reads the field. *)
+   mailbox.  The request's payload is empty: every block the
+   description carries already travels in it, and no daemon reads the
+   field. *)
 let transport =
   {
     Engine.send =
-      (fun eng fb op obj _payload _rmw nature desc ->
-        let d =
-          match desc with
-          | Some d -> d
-          | None ->
-            invalid_arg
-              "Sdk: protocol triggered an RMW without a serializable \
-               description"
-        in
+      (fun eng fb op obj nature d ->
         let ticket = eng.next_ticket in
         eng.next_ticket <- ticket + 1;
         if not eng.open_loop then eng.desc_log <- d :: eng.desc_log;

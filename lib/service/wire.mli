@@ -6,9 +6,9 @@
     version and a one-byte message tag.  Integers are 8-byte big-endian
     two's complement; byte strings and lists are [u32]-counted.  The
     payload vocabulary is exactly the simulator's: requests carry an
-    {!Sb_sim.Rmwdesc.t} (the serializable form of the RMW closure a
-    register triggers, mirroring [Sb_msgnet.Mp_runtime.message]),
-    responses carry an {!Sb_sim.Rmwdesc.resp}.  The property tests in
+    {!Sb_sim.Rmwdesc.t} (the RMW a register triggers, as in
+    [Sb_msgnet.Mp_runtime]'s messages), responses carry an
+    {!Sb_sim.Rmwdesc.resp}.  The property tests in
     [test_service.ml] round-trip all of these against randomly generated
     values.
 

@@ -2,7 +2,6 @@ open Effect.Deep
 
 module Proto = struct
   type resp = Rmwdesc.resp = Ack | Snap of Sb_storage.Objstate.t
-  type rmw = Sb_storage.Objstate.t -> Sb_storage.Objstate.t * resp
 
   type op = {
     id : int;
@@ -28,9 +27,7 @@ module Proto = struct
   type rmw_nature = [ `Mutating | `Readonly | `Merge ]
 
   type _ Effect.t +=
-    | Trigger :
-        int * Sb_storage.Block.t list * rmw * rmw_nature * Rmwdesc.t option
-        -> int Effect.t
+    | Trigger : int * rmw_nature * Rmwdesc.t -> int Effect.t
     | Await : int list * int -> (int * resp) list Effect.t
 
   type event =
@@ -41,8 +38,7 @@ module Proto = struct
         obj : int;
         op : op;
         nature : rmw_nature;
-        payload : Sb_storage.Block.t list;
-        desc : Rmwdesc.t option;
+        desc : Rmwdesc.t;
       }
     | E_deliver of {
         ticket : int;
@@ -50,7 +46,7 @@ module Proto = struct
         client : int;
         op : int;
         nature : rmw_nature;
-        rmw : rmw;
+        desc : Rmwdesc.t;
         before : Sb_storage.Objstate.t;
         after : Sb_storage.Objstate.t;
         resp : resp;
@@ -85,9 +81,7 @@ and wait = { tickets : int list; quorum : int; k : resumption }
 let fiber ~cid ~prng = { cid; prng; current = None; waiting = None }
 
 type 'w transport = {
-  send :
-    'w -> fiber -> op -> int -> Sb_storage.Block.t list -> rmw ->
-    rmw_nature -> Rmwdesc.t option -> int;
+  send : 'w -> fiber -> op -> int -> rmw_nature -> Rmwdesc.t -> int;
   ready : 'w -> int list -> int -> bool;
   collect : 'w -> fiber -> int list -> (int * resp) list;
   started : 'w -> op -> unit;
@@ -135,16 +129,15 @@ let handler eng w fb op =
     effc =
       (fun (type b) (eff : b Effect.t) ->
         match eff with
-        | Trigger (obj, payload, rmw, nature, desc) ->
+        | Trigger (obj, nature, desc) ->
           Some
             (fun (k : (b, outcome) continuation) ->
               if obj < 0 || obj >= eng.n then
                 invalid_arg "Engine: trigger on no such object";
               (* Restricted base-object models gate on the operation
                  class; [Rmw] and [Byzantine] accept everything. *)
-              Sb_baseobj.Model.check_op eng.base_model
-                (Option.map Rmwdesc.op_class desc);
-              let ticket = eng.tp.send w fb op obj payload rmw nature desc in
+              Sb_baseobj.Model.check_op eng.base_model (Rmwdesc.op_class desc);
+              let ticket = eng.tp.send w fb op obj nature desc in
               if eng.tp.traced then
                 Trace.add eng.tr
                   (Rmw_trigger
@@ -154,10 +147,11 @@ let handler eng w fb op =
                        op = op.id;
                        client = fb.cid;
                        obj;
-                       payload_bits = Sb_storage.Accounting.bits_of_blocks payload;
+                       payload_bits =
+                         Sb_storage.Accounting.bits_of_blocks (Rmwdesc.payload desc);
                      });
               if observed eng then
-                emit eng (E_trigger { ticket; obj; op; nature; payload; desc });
+                emit eng (E_trigger { ticket; obj; op; nature; desc });
               continue k ticket)
         | Await (tickets, quorum) ->
           Some

@@ -27,10 +27,6 @@ module Proto : sig
         (** The RMW returns a snapshot of the object state (its value at
             the linearisation point of the RMW). *)
 
-  type rmw = Sb_storage.Objstate.t -> Sb_storage.Objstate.t * resp
-  (** An RMW maps the current object state to the new state plus a
-      response; it is applied atomically when it takes effect. *)
-
   (** {1 Operations} *)
 
   type op = {
@@ -79,25 +75,23 @@ module Proto : sig
       wrong declaration is unsound — when in doubt use [`Mutating]. *)
 
   type _ Effect.t +=
-    | Trigger :
-        int * Sb_storage.Block.t list * rmw * rmw_nature * Rmwdesc.t option
-        -> int Effect.t
+    | Trigger : int * rmw_nature * Rmwdesc.t -> int Effect.t
     | Await : int list * int -> (int * resp) list Effect.t
-        (** The raw protocol effects: [Trigger (obj, payload, rmw,
-            nature, desc)] returns a ticket, [Await (tickets, quorum)]
-            the [(object, response)] pairs of at least [quorum] of
-            them.  The optional {!Rmwdesc.t} is the RMW's serializable
-            description: transports that ship the RMW over a wire
-            require it and apply [Rmwdesc.apply desc] remotely; the
-            in-process transports apply the closure. *)
+        (** The raw protocol effects: [Trigger (obj, nature, desc)]
+            returns a ticket, [Await (tickets, quorum)] the
+            [(object, response)] pairs of at least [quorum] of them.  An
+            RMW is its description: every transport applies
+            [Rmwdesc.apply desc] where the object lives, and the blocks
+            it carries are [Rmwdesc.payload desc]. *)
 
   (** {1 Execution events}
 
       Monitors (e.g. [Sb_sanitize]) subscribe to fine-grained execution
       events.  Events are deliberately richer than {!Trace.event}: a
-      delivery exposes the RMW closure and the object states around it,
-      an await its responder set — everything an online invariant
-      checker needs and a post-hoc trace cannot reconstruct. *)
+      delivery exposes the RMW's description and the object states
+      around it, an await its responder set — everything an online
+      invariant checker needs and a post-hoc trace cannot
+      reconstruct. *)
 
   type event =
     | E_invoke of { op : op }
@@ -107,11 +101,9 @@ module Proto : sig
         obj : int;
         op : op;
         nature : rmw_nature;
-        payload : Sb_storage.Block.t list;
-        desc : Rmwdesc.t option;
-            (** Serializable description of the triggered RMW, when the
-                protocol supplied one (all registers do); lets observers
-                compare protocol decisions across transports. *)
+        desc : Rmwdesc.t;
+            (** The triggered RMW; lets observers compare protocol
+                decisions across transports. *)
       }
     | E_deliver of {
         ticket : int;
@@ -119,9 +111,10 @@ module Proto : sig
         client : int;
         op : int;
         nature : rmw_nature;
-        rmw : rmw;
-            (** The applied closure, re-appliable by monitors: an RMW
-                must be a pure function of the object state. *)
+        desc : Rmwdesc.t;
+            (** The applied RMW, re-appliable by monitors through
+                [Rmwdesc.apply]: an RMW is a pure function of the object
+                state. *)
         before : Sb_storage.Objstate.t;
         after : Sb_storage.Objstate.t;
         resp : resp;
@@ -177,11 +170,9 @@ val fiber : cid:int -> prng:Sb_util.Prng.t -> fiber
     receives the transport's own state ['w], the value passed to
     {!start} and {!resume}. *)
 type 'w transport = {
-  send :
-    'w -> fiber -> op -> int -> Sb_storage.Block.t list -> rmw ->
-    rmw_nature -> Rmwdesc.t option -> int;
-      (** [send w fb op obj payload rmw nature desc] issues the request
-          of a [Trigger] towards object [obj] and returns its ticket. *)
+  send : 'w -> fiber -> op -> int -> rmw_nature -> Rmwdesc.t -> int;
+      (** [send w fb op obj nature desc] issues the request of a
+          [Trigger] towards object [obj] and returns its ticket. *)
   ready : 'w -> int list -> int -> bool;
       (** [ready w tickets quorum]: the fiber awaits [quorum] of
           [tickets]; have they answered already?  Called once per

@@ -41,9 +41,9 @@ let apply_trim trim chunks =
     List.filteri (fun i _ -> i <= delta) sorted
 
 (* The RMW bodies below are THE protocol semantics: the register modules
-   in [lib/registers] construct descriptions and close over
-   [apply desc], the message-passing simulator carries the description
-   in its messages, and the socket transport serializes it — all three
+   in [lib/registers] trigger descriptions, the shared-memory simulator
+   applies them, the message-passing simulator carries them in its
+   messages, and the socket transport serializes them — all three
    execute exactly this code, so "simulator and real transport make
    identical protocol decisions" holds by construction rather than by
    testing. *)
@@ -200,6 +200,19 @@ let apply = function
   | Rateless_update { pieces; ts; stored_ts } -> rateless_update ~pieces ~ts ~stored_ts
   | Rateless_gc { pieces; ts } -> rateless_gc ~pieces ~ts
   | Rw_write { chunks; ts } -> rw_write ~chunks ~ts
+
+let same_block (a : Block.t) (b : Block.t) =
+  a.source = b.source && a.index = b.index
+
+let payload = function
+  | Snapshot -> []
+  | Abd_store c | Lww_store c | Safe_update c -> [ c.Chunk.block ]
+  | Adaptive_update { replicate = true; piece; replica_pieces; _ } ->
+    if List.exists (same_block piece) replica_pieces then replica_pieces
+    else piece :: replica_pieces
+  | Adaptive_update { piece; _ } | Adaptive_gc { piece; _ } -> [ piece ]
+  | Rateless_update { pieces; _ } | Rateless_gc { pieces; _ } -> pieces
+  | Rw_write { chunks; _ } -> List.map (fun (c : Chunk.t) -> c.block) chunks
 
 let default_nature = function
   | Snapshot -> `Readonly

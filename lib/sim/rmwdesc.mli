@@ -1,15 +1,14 @@
 (** First-class descriptions of the register RMWs.
 
-    Protocol code in [lib/registers] triggers read-modify-writes as
-    OCaml closures — perfect for the in-process runtimes, but a closure
-    cannot cross a wire.  This module gives every RMW used by the
-    emulations a serializable description and one interpreter,
-    {!apply}.  The registers construct descriptions and trigger
-    [apply desc]; the message-passing simulator carries the description
-    inside its messages; the socket transport ([Sb_service.Wire])
-    serializes it.  All three therefore execute the same interpreter on
-    the same data: the simulator and the real service make identical
-    protocol decisions by construction.
+    An RMW takes exactly one form between protocol code and every
+    transport: a serializable description.  The registers in
+    [lib/registers] trigger descriptions; the shared-memory simulator
+    applies them through the one interpreter, {!apply}; the
+    message-passing simulator carries them inside its messages; the
+    socket transport ([Sb_service.Wire]) serializes them.  All three
+    therefore execute the same interpreter on the same data: the
+    simulator and the real service make identical protocol decisions by
+    construction.
 
     The vocabulary is closed on purpose.  A server needs no register
     code at all — it holds an {!Sb_storage.Objstate.t} and applies
@@ -76,6 +75,16 @@ type t =
 val apply : t -> rmw
 (** The one interpreter.  Every transport applies descriptions through
     this function, so protocol decisions cannot diverge between them. *)
+
+val payload : t -> Sb_storage.Block.t list
+(** The code blocks a description carries: every block {!apply} can
+    store.  They count towards the in-flight storage cost and the
+    per-operation contribution of Definition 6.  A store carries its
+    chunk's block, [Rw_write] its chunks' blocks, the rateless RMWs
+    their [pieces] and [Snapshot] nothing.  [Adaptive_update] carries
+    [piece], plus [replica_pieces] when [replicate] is set; [piece] is
+    listed once if a block with its (source, index) is already among
+    the replica pieces. *)
 
 val default_nature : t -> [ `Mutating | `Readonly | `Merge ]
 (** The honest concurrency declaration for each description.  Callers

@@ -1,28 +1,14 @@
 open Effect
 include Engine.Proto
 
-let trigger ?(nature = `Mutating) ?desc ~obj ~payload rmw =
-  perform (Trigger (obj, payload, rmw, nature, desc))
+let trigger ?nature ~obj desc =
+  let nature =
+    match nature with Some x -> x | None -> Rmwdesc.default_nature desc
+  in
+  perform (Trigger (obj, nature, desc))
 
 let await ~tickets ~quorum = perform (Await (tickets, quorum))
-
-let broadcast_rmw ?(nature = `Mutating) ?desc ~n ~payload f =
-  List.init n (fun i ->
-      trigger ~nature
-        ?desc:(Option.map (fun d -> d i) desc)
-        ~obj:i ~payload:(payload i) (f i))
-
-(* Trigger an RMW from its description alone: the closure is
-   [Rmwdesc.apply] and the nature defaults to the description's honest
-   declaration.  This is how the registers trigger everything, which is
-   what lets the same protocol code run over the wire. *)
-let broadcast_desc ?nature ~n ~payload d =
-  List.init n (fun i ->
-      let di = d i in
-      let nature =
-        match nature with Some x -> x | None -> Rmwdesc.default_nature di
-      in
-      trigger ~nature ~desc:di ~obj:i ~payload:(payload i) (Rmwdesc.apply di))
+let broadcast ?nature ~n d = List.init n (fun i -> trigger ?nature ~obj:i (d i))
 
 (* ------------------------------------------------------------------ *)
 (* World state                                                         *)
@@ -30,25 +16,13 @@ let broadcast_desc ?nature ~n ~payload d =
 
 type client_status = Idle | Parked | Runnable | Crashed
 
-type pending = {
-  ticket : int;
-  p_obj : int;
-  p_client : int;
-  p_op : op;
-  payload : Sb_storage.Block.t list;
-  p_rmw : rmw;
-  p_desc : Rmwdesc.t option;
-  p_nature : rmw_nature;
-  triggered_at : int;
-}
-
 type pending_info = {
   ticket : int;
   p_obj : int;
   p_client : int;
   p_op : op;
-  payload_bits : int;
-  p_desc : Rmwdesc.t option;
+  p_desc : Rmwdesc.t;
+  payload : Sb_storage.Block.t list; (* [Rmwdesc.payload p_desc] *)
   p_nature : rmw_nature;
   triggered_at : int;
 }
@@ -80,7 +54,7 @@ type world = {
   objects : Sb_storage.Objstate.t array;
   alive : bool array;
   clients : client array;
-  pendings : (int, pending) Hashtbl.t;
+  pendings : (int, pending_info) Hashtbl.t;
   mutable pending_order : int list; (* tickets, newest first *)
   responses : (int, delivered) Hashtbl.t;
   consumed : (int, unit) Hashtbl.t;
@@ -140,20 +114,7 @@ let client_has_work w c =
   let cl = w.clients.(c) in
   (not cl.crashed) && Option.is_none cl.fb.waiting && cl.queue <> []
 
-let info_of_pending (p : pending) =
-  {
-    ticket = p.ticket;
-    p_obj = p.p_obj;
-    p_client = p.p_client;
-    p_op = p.p_op;
-    payload_bits = Sb_storage.Accounting.bits_of_blocks p.payload;
-    p_desc = p.p_desc;
-    p_nature = p.p_nature;
-    triggered_at = p.triggered_at;
-  }
-
-let pending_rmws w =
-  List.rev_map (fun t -> info_of_pending (Hashtbl.find w.pendings t)) w.pending_order
+let pending_rmws w = List.rev_map (Hashtbl.find w.pendings) w.pending_order
 
 let outstanding_ops w =
   Array.to_list w.clients
@@ -178,7 +139,7 @@ let storage_bits_objects w =
 let inflight_bits w =
   (* sb-lint: allow hashtbl-order — commutative sum of payload bits *)
   Hashtbl.fold
-    (fun _ (p : pending) acc ->
+    (fun _ (p : pending_info) acc ->
       if w.clients.(p.p_client).crashed then acc
       else acc + Sb_storage.Accounting.bits_of_blocks p.payload)
     w.pendings 0
@@ -193,7 +154,7 @@ let visible_blocks_excluding w ~client =
   in
   (* sb-lint: allow hashtbl-order — feeds Accounting.contribution, an order-insensitive index-set sum *)
   Hashtbl.fold
-    (fun _ (p : pending) acc ->
+    (fun _ (p : pending_info) acc ->
       if p.p_client = client || w.clients.(p.p_client).crashed then acc
       else p.payload @ acc)
     w.pendings obj_blocks
@@ -280,7 +241,7 @@ let consume w cl tickets =
 let transport =
   {
     Engine.send =
-      (fun w fb op obj payload rmw nature desc ->
+      (fun w fb op obj nature desc ->
         let ticket = w.next_ticket in
         w.next_ticket <- ticket + 1;
         Hashtbl.add w.pendings ticket
@@ -289,9 +250,8 @@ let transport =
             p_obj = obj;
             p_client = fb.Engine.cid;
             p_op = op;
-            payload;
-            p_rmw = rmw;
             p_desc = desc;
+            payload = Rmwdesc.payload desc;
             p_nature = nature;
             triggered_at = w.now;
           };
@@ -417,7 +377,7 @@ type policy = world -> decision
    order, so a pending RMW is deliverable only while it is the oldest
    pending for its pair.  Without this discipline a straggling blind
    overwrite could roll a cell backwards past a newer write. *)
-let rw_head w (p : pending) =
+let rw_head w (p : pending_info) =
   not
     (List.exists
        (fun t ->
@@ -428,7 +388,7 @@ let rw_head w (p : pending) =
          | None -> false)
        w.pending_order)
 
-let delivery_enabled w (p : pending) =
+let delivery_enabled w (p : pending_info) =
   w.alive.(p.p_obj)
   && ((not (Sb_baseobj.Model.fifo_writes w.base_model)) || rw_head w p)
 
@@ -437,7 +397,7 @@ let deliverable w =
     (List.filter_map
        (fun t ->
          let p = Hashtbl.find w.pendings t in
-         if delivery_enabled w p then Some (info_of_pending p) else None)
+         if delivery_enabled w p then Some p else None)
        w.pending_order)
 
 let client_steppable w cl =
@@ -475,19 +435,15 @@ let deliver w ticket =
          monitors stay grounded in the honest view. *)
       match w.byz with
       | Some bp when bp.Sb_baseobj.Model.bp_compromised p.p_obj -> (
-        let cls =
-          match p.p_desc with
-          | Some d -> Rmwdesc.op_class d
-          | None -> Sb_baseobj.Model.General
-        in
         match
-          bp.Sb_baseobj.Model.bp_act ~obj:p.p_obj ~client:p.p_client ~cls
-            ~before ~init:w.init_objects.(p.p_obj)
+          bp.Sb_baseobj.Model.bp_act ~obj:p.p_obj ~client:p.p_client
+            ~cls:(Rmwdesc.op_class p.p_desc) ~before
+            ~init:w.init_objects.(p.p_obj)
         with
-        | Sb_baseobj.Model.Honest -> p.p_rmw before
+        | Sb_baseobj.Model.Honest -> Rmwdesc.apply p.p_desc before
         | Sb_baseobj.Model.Drop_write -> (before, Ack)
         | Sb_baseobj.Model.Fabricate st -> (before, Snap st))
-      | _ -> p.p_rmw before
+      | _ -> Rmwdesc.apply p.p_desc before
     in
     w.objects.(p.p_obj) <- state;
     Trace.add w.tr (Rmw_deliver { time = w.now; ticket; obj = p.p_obj });
@@ -502,7 +458,7 @@ let deliver w ticket =
              client = p.p_client;
              op = p.p_op.id;
              nature = p.p_nature;
-             rmw = p.p_rmw;
+             desc = p.p_desc;
              before;
              after = state;
              resp;
@@ -647,8 +603,8 @@ let replay w decisions =
 
 let fingerprint w =
   (* A digest of the logical state: everything a protocol or policy can
-     observe, minus closures (RMW bodies, suspended continuations) and the
-     clock.  Two replays of the same decision trace must agree on it. *)
+     observe, minus the suspended continuations and the clock; a pending
+     RMW enters through the blocks it carries.  Two replays of the same decision trace must agree on it. *)
   let clients =
     Array.to_list w.clients
     |> List.map (fun cl ->
@@ -800,8 +756,8 @@ let canonical_op_names w =
    - each client's consumed-response log and prng: a fiber is a
      deterministic function of (algorithm, op kinds, prng state,
      responses consumed), so these capture the fiber-local state —
-     including its suspended continuation and the closures of RMWs it
-     has yet to trigger — that cannot be inspected directly;
+     including its suspended continuation and the RMWs it has yet to
+     trigger — that cannot be inspected directly;
    - the operation events emitted so far, without times and in the
      normal form above.  All future events time-sort after all past
      ones.

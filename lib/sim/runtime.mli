@@ -28,17 +28,13 @@ include module type of struct
   include Engine.Proto
 end
 
-val trigger :
-  ?nature:rmw_nature ->
-  ?desc:Rmwdesc.t ->
-  obj:int -> payload:Sb_storage.Block.t list -> rmw -> int
-(** Triggers an RMW on base object [obj] and returns its ticket without
-    waiting.  [payload] declares the code blocks carried by the RMW's
-    parameters, which count towards the in-flight storage cost and the
-    per-operation contribution of Definition 6.  [nature] defaults to
-    [`Mutating]; see {!rmw_nature}.  [desc], when given, must satisfy
-    [Rmwdesc.apply desc ≡ rmw] — the registers guarantee this by
-    constructing the closure from the description. *)
+val trigger : ?nature:rmw_nature -> obj:int -> Rmwdesc.t -> int
+(** [trigger ~obj desc] triggers the RMW [desc] on base object [obj] and
+    returns its ticket without waiting.  It takes effect as
+    [Rmwdesc.apply desc]; the blocks it carries, [Rmwdesc.payload desc],
+    count towards the in-flight storage cost and the per-operation
+    contribution of Definition 6 until then.  [nature] defaults to
+    [Rmwdesc.default_nature desc]; see {!rmw_nature}. *)
 
 val await : tickets:int list -> quorum:int -> (int * resp) list
 (** Suspends until at least [quorum] of [tickets] have responses, then
@@ -50,23 +46,11 @@ val await : tickets:int list -> quorum:int -> (int * resp) list
     it has returned — its undelivered read-only RMWs are dropped at that
     point.  Raises [Invalid_argument] on such re-use. *)
 
-val broadcast_rmw :
-  ?nature:rmw_nature ->
-  ?desc:(int -> Rmwdesc.t) ->
-  n:int -> payload:(int -> Sb_storage.Block.t list) -> (int -> rmw) -> int list
-(** [broadcast_rmw ~n ~payload f] triggers [f i] on every object
-    [i < n]; the standard "invoke RMWs on all base objects in parallel"
-    idiom of the paper's algorithms.  [nature] and [desc] as in
-    {!trigger}. *)
-
-val broadcast_desc :
-  ?nature:rmw_nature ->
-  n:int ->
-  payload:(int -> Sb_storage.Block.t list) -> (int -> Rmwdesc.t) -> int list
-(** [broadcast_desc ~n ~payload d] triggers [Rmwdesc.apply (d i)] on
-    every object [i < n] with [d i] attached as the description —
-    the transport-agnostic broadcast the registers use.  [nature]
-    defaults per-object to [Rmwdesc.default_nature (d i)]. *)
+val broadcast : ?nature:rmw_nature -> n:int -> (int -> Rmwdesc.t) -> int list
+(** [broadcast ~n d] triggers [d i] on every object [i < n]; the
+    standard "invoke RMWs on all base objects in parallel" idiom of the
+    paper's algorithms.  [nature] as in {!trigger}, defaulting per
+    object. *)
 
 (** {1 Worlds} *)
 
@@ -83,8 +67,8 @@ type pending_info = {
   p_obj : int;
   p_client : int;
   p_op : op;
-  payload_bits : int;
-  p_desc : Rmwdesc.t option;
+  p_desc : Rmwdesc.t;
+  payload : Sb_storage.Block.t list;  (** [Rmwdesc.payload p_desc]. *)
   p_nature : rmw_nature;
   triggered_at : int;
 }
@@ -292,8 +276,8 @@ val replay : world -> decision list -> int
 val fingerprint : world -> string
 (** A digest (hex) of the logical world state: object states, liveness,
     client statuses/queues/waits, pending RMWs, responses, and allocation
-    counters — everything observable, excluding closures and the clock.
-    Two runs of the same decision trace from equal initial worlds must
+    counters — everything observable, excluding suspended continuations
+    and the clock.  Two runs of the same decision trace from equal initial worlds must
     produce equal fingerprints; the determinism lint in [Sb_modelcheck]
     enforces this for every shipped algorithm. *)
 

@@ -1045,7 +1045,7 @@ let test_sim_socket_parity () =
   in
   Sb_msgnet.Mp_runtime.add_observer w (fun ev ->
       match ev with
-      | R.E_trigger { desc = Some d; _ } -> sim_descs := d :: !sim_descs
+      | R.E_trigger { desc; _ } -> sim_descs := desc :: !sim_descs
       | _ -> ());
   let oc = Sb_msgnet.Mp_runtime.run w (Sb_msgnet.Mp_runtime.fifo_policy ()) in
   Alcotest.(check bool) "simulator run finished" true

@@ -7,34 +7,37 @@ module Objstate = Sb_storage.Objstate
 module Block = Sb_storage.Block
 module Chunk = Sb_storage.Chunk
 module Ts = Sb_storage.Timestamp
+module D = Sb_sim.Rmwdesc
 
 let value_bytes = 16
 let v i = Sb_util.Values.distinct ~value_bytes i
+
+(* [blocks_rmw ctx block] stores [block i] at object [i]: a
+   [Rateless_update] under a timestamp fresh to the operation, with no
+   eviction barrier, appends exactly one chunk and carries its block. *)
+let blocks_rmw (ctx : R.ctx) block i =
+  D.Rateless_update
+    {
+      pieces = [ block i ];
+      ts = Ts.make ~num:ctx.op.id ~client:ctx.self;
+      stored_ts = Ts.zero;
+    }
 
 (* A tiny test protocol: a write appends one 1-byte block to every
    object and awaits [quorum]; a read snapshots every object and returns
    the chunk count of the first response as a byte. *)
 let append_algorithm ~n ~quorum : R.algorithm =
-  let append_rmw ~op st =
-    let block = Block.v ~source:op ~index:(Objstate.chunk_count st) (Bytes.make 1 'x') in
-    ( { st with Objstate.vp = Chunk.v ~ts:Ts.zero block :: st.Objstate.vp },
-      R.Ack )
-  in
   {
     name = "append";
     init_obj = (fun _ -> Objstate.init ());
     write =
       (fun ctx _v ->
-        let tickets =
-          R.broadcast_rmw ~n ~payload:(fun _ -> []) (fun _ ->
-              append_rmw ~op:ctx.op.id)
-        in
+        let block i = Block.v ~source:ctx.op.id ~index:i (Bytes.make 1 'x') in
+        let tickets = R.broadcast ~n (blocks_rmw ctx block) in
         ignore (R.await ~tickets ~quorum));
     read =
       (fun _ctx ->
-        let tickets =
-          R.broadcast_rmw ~n ~payload:(fun _ -> []) (fun _ st -> (st, R.Snap st))
-        in
+        let tickets = R.broadcast ~n (fun _ -> D.Snapshot) in
         match R.await ~tickets ~quorum with
         | (_, R.Snap st) :: _ -> Some (Bytes.make 1 (Char.chr (Objstate.chunk_count st)))
         | _ -> None);
@@ -250,13 +253,7 @@ let payload_algorithm ~n ~quorum ~payload_bytes : R.algorithm =
     write =
       (fun ctx _v ->
         let block i = Block.v ~source:ctx.op.id ~index:i (Bytes.make payload_bytes 'p') in
-        let tickets =
-          R.broadcast_rmw ~n
-            ~payload:(fun i -> [ block i ])
-            (fun i st ->
-              ( { st with Objstate.vp = Chunk.v ~ts:Ts.zero (block i) :: st.Objstate.vp },
-                R.Ack ))
-        in
+        let tickets = R.broadcast ~n (blocks_rmw ctx block) in
         ignore (R.await ~tickets ~quorum));
     read = (fun _ -> None);
   }
@@ -389,20 +386,19 @@ let test_trace_blank_lines () =
 (* ------------------------------------------------------------------ *)
 
 module Engine = Sb_sim.Engine
-module D = Sb_sim.Rmwdesc
 
 (* Triggers get consecutive tickets and are logged; the test answers
    them by hand through [answers]. *)
 type fake = {
   mutable next : int;
-  mutable sent : (int * D.t option) list;  (* (object, desc), newest first *)
+  mutable sent : (int * D.t) list;  (* (object, desc), newest first *)
   answers : (int, int * R.resp) Hashtbl.t;  (* ticket -> (object, resp) *)
 }
 
 let fake_transport =
   {
     Engine.send =
-      (fun t _ _ obj _ _ _ desc ->
+      (fun t _ _ obj _ desc ->
         let ticket = t.next in
         t.next <- ticket + 1;
         t.sent <- (obj, desc) :: t.sent;
@@ -430,16 +426,13 @@ let probe ?(store = false) ?(unwound = ref false) () : R.algorithm =
       (fun _ v ->
         let chunk = Chunk.v ~ts:Ts.zero (Block.v ~source:1 ~index:0 v) in
         ignore
-          (R.broadcast_desc ~n:3 ~payload:(fun _ -> []) (fun _ ->
-               D.Abd_store chunk)));
+          (R.broadcast ~n:3 (fun _ -> D.Abd_store chunk)));
     read =
       (fun _ ->
         Fun.protect
           ~finally:(fun () -> unwound := true)
           (fun () ->
-            let tickets =
-              R.broadcast_desc ~n:3 ~payload:(fun _ -> []) (fun _ -> D.Snapshot)
-            in
+            let tickets = R.broadcast ~n:3 (fun _ -> D.Snapshot) in
             let rs = R.await ~tickets ~quorum:2 in
             let objs = List.map (fun (o, _) -> string_of_int o) rs in
             if store then None
