@@ -1215,12 +1215,6 @@ let serve_cmd =
       & info [ "server" ] ~docv:"I"
           ~doc:"Host only server I — one daemon of a multi-process cluster.")
   in
-  let no_dedup =
-    Arg.(
-      value & flag
-      & info [ "no-dedup" ]
-          ~doc:"Disable the per-incarnation at-most-once tables.")
-  in
   let wire_version =
     Arg.(
       value
@@ -1258,8 +1252,8 @@ let serve_cmd =
           ~doc:"Event-loop domains the hosted servers are partitioned across \
                 (capped at the server count; incompatible with --crash-at).")
   in
-  let run algo value_bytes f k sockdir statedir cluster server no_dedup
-      wire_version crash_at shards domains =
+  let run algo value_bytes f k sockdir statedir cluster server wire_version
+      crash_at shards domains =
     usage_check (Catalog.check_live algo);
     let algorithm, cfg = Catalog.build ~writers:1 algo ~value_bytes ~f ~k in
     let servers =
@@ -1280,27 +1274,14 @@ let serve_cmd =
           Printf.eprintf "serve: --crash-at %s: %s\n" spec msg;
           exit 2)
     in
-    if
-      wire_version < Sb_service.Wire.min_version
-      || wire_version > Sb_service.Wire.version
-    then begin
-      Printf.eprintf "serve: --wire-version %d outside %d..%d\n" wire_version
-        Sb_service.Wire.min_version Sb_service.Wire.version;
-      exit 2
-    end;
-    if shards < 1 then begin
-      prerr_endline "serve: --shards must be >= 1";
-      exit 2
-    end;
-    if domains < 1 then begin
-      prerr_endline "serve: --domains must be >= 1";
-      exit 2
-    end;
-    if domains > 1 && crash_at <> None then begin
-      prerr_endline
-        "serve: --crash-at counts process-wide persists and needs --domains 1";
-      exit 2
-    end;
+    (match
+       Sb_service.Daemon.check_args ~wire_version ~shards ~domains ~statedir
+         ~crash_at
+     with
+     | Ok () -> ()
+     | Error msg ->
+       prerr_endline ("serve: " ^ msg);
+       exit 2);
     Printf.printf
       "serving %s: n=%d f=%d k=%d wire v%d, servers [%s] x%d shard(s), %d \
        domain(s) under %s%s\n%!"
@@ -1311,7 +1292,7 @@ let serve_cmd =
       (match statedir with
        | Some d -> Printf.sprintf " (durable: %s)" d
        | None -> "");
-    Sb_service.Daemon.run ~dedup:(not no_dedup) ~wire_version ~shards ~domains
+    Sb_service.Daemon.run ~wire_version ~shards ~domains
       ?statedir ?crash_at ~sockdir ~servers
       ~init_obj:algorithm.Sb_sim.Runtime.init_obj ();
     print_endline "serve: bye"
@@ -1325,8 +1306,8 @@ let serve_cmd =
              storage/dedup/incarnation counters on a stats endpoint.")
     Term.(
       const run $ algo_arg $ value_bytes_arg $ serve_f_arg $ serve_k_arg
-      $ sockdir_arg $ statedir $ cluster $ server $ no_dedup $ wire_version
-      $ crash_at $ shards $ domains)
+      $ sockdir_arg $ statedir $ cluster $ server $ wire_version $ crash_at
+      $ shards $ domains)
 
 (* ------------------------------------------------------------------ *)
 (* loadgen                                                             *)

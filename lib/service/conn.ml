@@ -3,8 +3,7 @@ type t = {
   hooks : Netfault.t;
   in_place : bool;  (* no hook asks to see a frame: encode into [out] *)
   server : int;
-  reader : Wire.Reader.t;
-  inbuf : bytes;  (* every read lands here *)
+  reader : Wire.Reader.t;  (* every read lands in its buffer *)
   mutable out : bytes;  (* [out.[sent, len)] waits for the socket *)
   mutable sent : int;
   mutable len : int;
@@ -24,7 +23,6 @@ let create ?max_version ~hooks ~server fd =
     in_place = hooks.Netfault.nf_frame == Netfault.none.Netfault.nf_frame;
     server;
     reader = Wire.Reader.create ?max_version ();
-    inbuf = Bytes.create 65536;
     out = Bytes.create 256;
     sent = 0;
     len = 0;
@@ -136,12 +134,11 @@ let flush c =
 
 let receive c ~while_closing handle =
   if not c.closed then
-    match Unix.read c.fd c.inbuf 0 (Bytes.length c.inbuf) with
+    match Wire.Reader.read c.reader (Unix.read c.fd) with
     | 0 ->
       c.eof <- true;
       close c
-    | n ->
-      Wire.Reader.feed c.reader c.inbuf 0 n;
+    | _ ->
       let rec drain () =
         if (not c.closed) && (while_closing || not c.closing) then
           match Wire.Reader.next c.reader with

@@ -353,8 +353,8 @@ let install_signals () =
   (try Sys.set_signal Sys.sigint handler with Invalid_argument _ -> ());
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-let make_shard ?statedir ~dedup ~wire_version ~shards ~init_obj sid j =
-  let fresh () = Server_core.create ~dedup (init_obj sid) in
+let make_shard ?statedir ~wire_version ~shards ~init_obj sid j =
+  let fresh () = Server_core.create (init_obj sid) in
   let core =
     match statedir with
     | None -> fresh ()
@@ -367,7 +367,7 @@ let make_shard ?statedir ~dedup ~wire_version ~shards ~init_obj sid j =
         (* Restarting over a persisted state is a recovery: the
            at-most-once table died with the process, so the shard
            comes back in a fresh incarnation. *)
-        Server_core.load ~dedup ~incarnation:(p.Wire.p_incarnation + 1)
+        Server_core.load ~incarnation:(p.Wire.p_incarnation + 1)
           ~initial:p.Wire.p_state p.Wire.p_keyed
       | Absent -> fresh ()
       | Corrupt reason ->
@@ -394,10 +394,10 @@ let make_shard ?statedir ~dedup ~wire_version ~shards ~init_obj sid j =
     sh_dirty = false;
   }
 
-let make_server ?statedir ~dedup ~wire_version ~shards ~ring ~sockdir ~init_obj
-    ~hooks ~crash sid =
+let make_server ?statedir ~wire_version ~shards ~ring ~sockdir ~init_obj ~hooks
+    ~crash sid =
   let shard_arr =
-    Array.init shards (make_shard ?statedir ~dedup ~wire_version ~shards ~init_obj sid)
+    Array.init shards (make_shard ?statedir ~wire_version ~shards ~init_obj sid)
   in
   let path = sockpath ~sockdir sid in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -499,19 +499,29 @@ let event_loop ~tick ~should_stop srvs =
     end
   done
 
-let run ?(dedup = true) ?(wire_version = Wire.version) ?(shards = 1)
+let check_args ~wire_version ~shards ~domains ~statedir ~crash_at =
+  if wire_version < Wire.min_version || wire_version > Wire.version then
+    Error
+      (Printf.sprintf "wire version %d outside %d..%d" wire_version
+         Wire.min_version Wire.version)
+  else if shards < 1 then Error "shards must be >= 1"
+  else if domains < 1 then Error "domains must be >= 1"
+  else if domains > 1 && crash_at <> None then
+    Error
+      "a crash point counts process-wide persists and needs a single \
+       event-loop domain"
+  else if statedir = None && crash_at <> None then
+    Error
+      "a crash point needs a state directory: without one nothing is \
+       persisted and it never fires"
+  else Ok ()
+
+let run ?(wire_version = Wire.version) ?(shards = 1)
     ?(domains = 1) ?statedir ?stop ?(hooks = Netfault.none) ?crash_at ~sockdir
     ~servers ~init_obj () =
-  if wire_version < Wire.min_version || wire_version > Wire.version then
-    invalid_arg
-      (Printf.sprintf "Daemon.run: wire_version %d outside %d..%d" wire_version
-         Wire.min_version Wire.version);
-  if shards < 1 then invalid_arg "Daemon.run: shards must be positive";
-  if domains < 1 then invalid_arg "Daemon.run: domains must be positive";
-  if domains > 1 && crash_at <> None then
-    invalid_arg
-      "Daemon.run: crash points count process-wide persists and need a single \
-       event-loop domain";
+  (match check_args ~wire_version ~shards ~domains ~statedir ~crash_at with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Daemon.run: " ^ msg));
   Atomic.set interrupted false;
   install_signals ();
   (match statedir with
@@ -525,7 +535,7 @@ let run ?(dedup = true) ?(wire_version = Wire.version) ?(shards = 1)
   let ring = Sb_kv.Shard.create ~shards () in
   let srvs =
     List.map
-      (make_server ?statedir ~dedup ~wire_version ~shards ~ring ~sockdir
+      (make_server ?statedir ~wire_version ~shards ~ring ~sockdir
          ~init_obj ~hooks ~crash)
       servers
   in

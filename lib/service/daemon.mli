@@ -116,8 +116,21 @@ val crash_point_of_string : string -> (crash_point, string) result
 
 val crash_point_to_string : crash_point -> string
 
+val check_args :
+  wire_version:int ->
+  shards:int ->
+  domains:int ->
+  statedir:string option ->
+  crash_at:crash_point option ->
+  (unit, string) result
+(** The rules {!run}'s arguments must obey, checked in one place:
+    [wire_version] within [Wire.min_version..Wire.version], at least
+    one shard and one domain, and a crash point only with a single
+    domain (its persist counter is process-wide) and a [statedir]
+    (without one nothing is persisted, so it would never fire).  The
+    error names the first rule broken. *)
+
 val run :
-  ?dedup:bool ->
   ?wire_version:int ->
   ?shards:int ->
   ?domains:int ->
@@ -135,16 +148,13 @@ val run :
     hosts a whole cluster in one process; [servers = [i]] is one daemon
     of a multi-process deployment.  [init_obj] supplies the initial
     object state when no persisted state exists (for every key of every
-    shard).  [dedup] (default true) arms the per-incarnation
-    at-most-once tables.  [shards] (default 1) is the number of keyed
+    shard).  [shards] (default 1) is the number of keyed
     {!Server_core}s per server; [domains] (default 1) the number of
     event-loop domains the servers are partitioned across (capped at
-    the server count; incompatible with [crash_at], whose persist
-    counter is process-wide).  [wire_version] (default [Wire.version])
-    pins the daemon's protocol version; raises [Invalid_argument]
-    outside [Wire.min_version..Wire.version].  [hooks] (default
-    {!Netfault.none}) inject socket-layer faults into accepts and
-    outbound frames; [crash_at] arms one crash point (requires
-    [statedir] to ever fire).  A shard whose state file is corrupt
+    the server count).  [wire_version] (default [Wire.version]) pins
+    the daemon's protocol version.  [hooks] (default {!Netfault.none})
+    inject socket-layer faults into accepts and outbound frames;
+    [crash_at] arms one crash point.  Raises [Invalid_argument] on
+    arguments {!check_args} rejects.  A shard whose state file is corrupt
     quarantines it ({!quarantine_path}) and rejoins fresh.  Sockets are
     unlinked on the way out. *)

@@ -38,8 +38,8 @@ let create ?(dedup = true) ?(incarnation = 1) initial =
     max_key_bits = bits;
   }
 
-let load ?dedup ?incarnation ~initial entries =
-  let t = create ?dedup ?incarnation initial in
+let load ?incarnation ~initial entries =
+  let t = create ?incarnation initial in
   List.iter
     (fun (key, st) ->
       (match Hashtbl.find_opt t.objs key with

@@ -38,7 +38,6 @@ val create :
     state passes the stored incarnation + 1). *)
 
 val load :
-  ?dedup:bool ->
   ?incarnation:int ->
   initial:Sb_storage.Objstate.t ->
   (string * Sb_storage.Objstate.t) list ->

@@ -532,8 +532,9 @@ let unseal_persisted ?max_version buf =
 
 module Reader = struct
   (* [acc.[pos, len)] is what has not been read yet.  Complete frames
-     decode where they lie; [feed] moves the unread tail to the front
-     at most once, and only when the new bytes do not fit behind it. *)
+     decode where they lie; [feed] and [read] move the unread tail to
+     the front at most once, and only when the new bytes may not fit
+     behind it. *)
   type t = {
     mutable acc : Bytes.t;
     mutable pos : int;
@@ -544,16 +545,27 @@ module Reader = struct
   let create ?(max_version = version) () =
     { acc = Bytes.create 4096; pos = 0; len = 0; max_version }
 
+  let make_room t n =
+    if t.len + n > Bytes.length t.acc then begin
+      t.acc <- Sb_util.Bytesx.compact t.acc ~from:t.pos ~upto:t.len ~room:n;
+      t.len <- t.len - t.pos;
+      t.pos <- 0
+    end
+
   let feed t src off n =
     if n > 0 then begin
-      if t.len + n > Bytes.length t.acc then begin
-        t.acc <- Sb_util.Bytesx.compact t.acc ~from:t.pos ~upto:t.len ~room:n;
-        t.len <- t.len - t.pos;
-        t.pos <- 0
-      end;
+      make_room t n;
       Bytes.blit src off t.acc t.len n;
       t.len <- t.len + n
     end
+
+  let read_room = 65536
+
+  let read t fill =
+    make_room t read_room;
+    let n = fill t.acc t.len read_room in
+    if n > 0 then t.len <- t.len + n;
+    n
 
   let next t =
     let avail = t.len - t.pos in

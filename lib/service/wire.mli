@@ -220,7 +220,7 @@ val unseal_persisted :
 
 (** Incremental frame extraction over a byte stream.  Complete frames
     are decoded where they lie in the reader's buffer; the unread tail
-    moves to the front at most once per {!feed}. *)
+    moves to the front at most once per {!feed} or {!read}. *)
 module Reader : sig
   type t
 
@@ -229,7 +229,16 @@ module Reader : sig
       versions, like {!decode_msg}. *)
 
   val feed : t -> bytes -> int -> int -> unit
-  (** [feed t buf off len] appends [len] bytes of [buf] at [off]. *)
+  (** [feed t buf off len] appends a copy of [len] bytes of [buf] at
+      [off]. *)
+
+  val read : t -> (bytes -> int -> int -> int) -> int
+  (** [read t fill] appends bytes without copying them: it calls
+      [fill buf off len] once, which writes at most [len] bytes into
+      the reader's own buffer at [buf.[off]] and returns how many it
+      wrote, e.g. [fun buf off len -> Unix.read fd buf off len].
+      [len] is 64 KiB.  Returns [fill]'s result; an exception from
+      [fill] passes through and appends nothing. *)
 
   val next : t -> (msg option, string) result
   (** The next complete frame, [Ok None] if more bytes are needed,

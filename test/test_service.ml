@@ -185,9 +185,27 @@ let test_roundtrip =
          | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e))
 
 (* Everything a reader yields when [stream] arrives in feeds cut at
-   the ascending offsets [cuts], draining after each feed. *)
-let read_in_feeds stream cuts =
+   the ascending offsets [cuts], draining after each feed.  With
+   [in_place] each piece arrives through [Reader.read] calls, which
+   write into the reader's own buffer, instead of [Reader.feed]. *)
+let read_in_feeds ?(in_place = false) stream cuts =
   let reader = Wire.Reader.create () in
+  let push off len =
+    if in_place then begin
+      let off = ref off and left = ref len in
+      while !left > 0 do
+        let k =
+          Wire.Reader.read reader (fun buf at room ->
+              let k = min room !left in
+              Bytes.blit stream !off buf at k;
+              k)
+        in
+        off := !off + k;
+        left := !left - k
+      done
+    end
+    else Wire.Reader.feed reader stream off len
+  in
   let got = ref [] in
   let rec drain () =
     match Wire.Reader.next reader with
@@ -200,10 +218,10 @@ let read_in_feeds stream cuts =
   let n = Bytes.length stream in
   let rec go off = function
     | [] ->
-      Wire.Reader.feed reader stream off (n - off);
+      push off (n - off);
       drain ()
     | cut :: rest ->
-      Wire.Reader.feed reader stream off (cut - off);
+      push off (cut - off);
       drain ();
       go cut rest
   in
@@ -214,11 +232,11 @@ let read_in_feeds stream cuts =
    reader must move an unread tail to the front and grow its buffer.
    Fed in fixed-size chunks, one byte at a time, 1000 bytes at a time,
    or as every frame but a split tail in one feed (decoded where they
-   lie) and then the rest: the same messages come out. *)
-let test_reader_chunking =
+   lie) and then the rest: the same messages come out, whether the
+   pieces are fed or read in place. *)
+let reader_chunking ~name ~in_place =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:100
-       ~name:"incremental reader reassembles arbitrarily chunked streams"
+    (QCheck2.Test.make ~count:100 ~name
        Gen.(triple (list_size (1 -- 5) gen_msg) (int_range 1 13) (int_bound 10_000))
        (fun (msgs, chunk, tail_seed) ->
          let frames = List.map (fun m -> Wire.encode_msg m) msgs in
@@ -232,10 +250,18 @@ let test_reader_chunking =
          let split_tail = [ n - last + 1 + (tail_seed mod (last - 1)) ] in
          List.for_all
            (fun cuts ->
-             let got = read_in_feeds stream cuts in
+             let got = read_in_feeds ~in_place stream cuts in
              List.length got = List.length msgs
              && List.for_all2 Wire.equal_msg msgs got)
            [ every chunk; every 1; every 1000; split_tail ]))
+
+let test_reader_chunking =
+  reader_chunking ~in_place:false
+    ~name:"incremental reader reassembles arbitrarily chunked streams"
+
+let test_reader_in_place =
+  reader_chunking ~in_place:true
+    ~name:"in-place reads reassemble arbitrarily chunked streams"
 
 (* One rule for what each version can carry: [Wire.encodable] holds
    exactly when [encode_msg] at that version does not raise. *)
@@ -1503,6 +1529,48 @@ let test_corrupt_state_quarantined () =
       Alcotest.(check int) "read completed over surviving quorum" 1
         r.Sdk.ops_completed)
 
+(* The daemon's argument rules live in [Daemon.check_args]; [serve]
+   prints its error and [Daemon.run] raises on it.  A crash point
+   without a state directory is refused: nothing is persisted, so it
+   would never fire. *)
+let test_daemon_args () =
+  let cp =
+    match Daemon.crash_point_of_string "persist:1" with
+    | Ok cp -> cp
+    | Error e -> Alcotest.fail e
+  in
+  let check ?(wire_version = Wire.version) ?(shards = 1) ?(domains = 1)
+      ?(statedir = Some "state") ?crash_at () =
+    Daemon.check_args ~wire_version ~shards ~domains ~statedir ~crash_at
+  in
+  let accepted what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s refused: %s" what e
+  in
+  let refused what = function
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  accepted "defaults" (check ());
+  accepted "v1, 4 shards, 2 domains, no statedir"
+    (check ~wire_version:Wire.min_version ~shards:4 ~domains:2 ~statedir:None
+       ());
+  accepted "a crash point with a statedir" (check ~crash_at:cp ());
+  refused "wire version below range" (check ~wire_version:(Wire.min_version - 1) ());
+  refused "wire version above range" (check ~wire_version:(Wire.version + 1) ());
+  refused "zero shards" (check ~shards:0 ());
+  refused "zero domains" (check ~domains:0 ());
+  refused "a crash point over two domains" (check ~domains:2 ~crash_at:cp ());
+  refused "a crash point without a statedir"
+    (check ~statedir:None ~crash_at:cp ());
+  match
+    Daemon.run ~crash_at:cp ~stop:(fun () -> true)
+      ~sockdir:(Filename.concat (Filename.get_temp_dir_name ()) "sb-never")
+      ~servers:[ 0 ] ~init_obj:(fun _ -> Sb_storage.Objstate.init ()) ()
+  with
+  | () -> Alcotest.fail "Daemon.run served with a crash point and no statedir"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: typed failures instead of hangs               *)
 (* ------------------------------------------------------------------ *)
@@ -1644,6 +1712,7 @@ let () =
           test_roundtrip_v1;
           test_encodable_rule;
           test_reader_chunking;
+          test_reader_in_place;
           test_reader_adversarial;
           test_desc_semantic_roundtrip;
           test_batch_apply_equivalence;
@@ -1663,6 +1732,7 @@ let () =
           test_load_state_fuzz;
           Alcotest.test_case "corrupt state quarantined at boot" `Quick
             test_corrupt_state_quarantined;
+          Alcotest.test_case "daemon argument rules" `Quick test_daemon_args;
         ] );
       ( "degradation",
         [
