@@ -21,6 +21,37 @@ let universe = lazy (U.default ())
 (* The certified nature table                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Definition 6 charges an in-flight RMW for the blocks it carries, so
+   [Rmwdesc.payload] must list every block [apply] can store: over the
+   whole universe, each block of the new state was in the old state or
+   is carried, compared by (source, index). *)
+let test_payload_carries_stored_blocks () =
+  let u = Lazy.force universe in
+  let key (b : Sb_storage.Block.t) = (b.source, b.index) in
+  let pairs = ref 0 and uncarried = ref 0 and first = ref None in
+  List.iter
+    (fun d ->
+      let carried = List.map key (D.payload d) in
+      Array.iter
+        (fun st ->
+          incr pairs;
+          let had = List.map key (Sb_storage.Objstate.blocks st) in
+          List.iter
+            (fun b ->
+              if not (List.mem (key b) had || List.mem (key b) carried) then begin
+                incr uncarried;
+                if !first = None then first := Some (d, st)
+              end)
+            (Sb_storage.Objstate.blocks (fst (D.apply d st))))
+        u.U.states)
+    (U.descs u);
+  Alcotest.(check int) "state x description pairs" 85_536 !pairs;
+  match !first with
+  | None -> ()
+  | Some (d, st) ->
+    Alcotest.failf "%d stored blocks not carried; first: %a on %a" !uncarried
+      D.pp d Sb_storage.Objstate.pp st
+
 let test_covers_vocabulary () =
   let c = Lazy.force cert in
   Alcotest.(check int) "one entry per constructor" (List.length U.all_ctors)
@@ -390,6 +421,8 @@ let () =
       ( "certifier",
         [
           Alcotest.test_case "covers the vocabulary" `Quick test_covers_vocabulary;
+          Alcotest.test_case "descriptions carry what they store" `Quick
+            test_payload_carries_stored_blocks;
           Alcotest.test_case "defaults match certified" `Quick
             test_defaults_match_certified;
           Alcotest.test_case "snapshot readonly" `Quick test_snapshot_readonly;
