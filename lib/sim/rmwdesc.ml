@@ -201,14 +201,15 @@ let apply = function
   | Rateless_gc { pieces; ts } -> rateless_gc ~pieces ~ts
   | Rw_write { chunks; ts } -> rw_write ~chunks ~ts
 
-let same_block (a : Block.t) (b : Block.t) =
-  a.source = b.source && a.index = b.index
-
 let payload = function
   | Snapshot -> []
   | Abd_store c | Lww_store c | Safe_update c -> [ c.Chunk.block ]
   | Adaptive_update { replicate = true; piece; replica_pieces; _ } ->
-    if List.exists (same_block piece) replica_pieces then replica_pieces
+    if
+      List.exists
+        (fun (b : Block.t) -> b.source = piece.source && b.index = piece.index)
+        replica_pieces
+    then replica_pieces
     else piece :: replica_pieces
   | Adaptive_update { piece; _ } | Adaptive_gc { piece; _ } -> [ piece ]
   | Rateless_update { pieces; _ } | Rateless_gc { pieces; _ } -> pieces
