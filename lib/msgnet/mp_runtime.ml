@@ -42,7 +42,6 @@ type message_info = {
   m_ticket : int;
   m_op : int;
   m_bits : int;
-  m_desc : Sb_sim.Rmwdesc.t option;
   m_incarnation : int;
   sent_at : int;
 }
@@ -138,7 +137,6 @@ let info_of (m : message) : message_info =
     m_ticket = m.m_ticket;
     m_op = m.m_op;
     m_bits = message_bits m;
-    m_desc = (match m.body with Req { desc; _ } -> Some desc | Resp _ -> None);
     m_incarnation = m.m_incarnation;
     sent_at = m.sent_at;
   }

@@ -51,9 +51,6 @@ type message_info = {
   m_ticket : int;
   m_op : int;         (** The operation the RMW belongs to. *)
   m_bits : int;       (** Code-block bits carried by the message. *)
-  m_desc : Sb_sim.Rmwdesc.t option;
-      (** The RMW a request carries — what the socket transport ships
-          over its wire; [None] for a response. *)
   m_incarnation : int;
       (** The server incarnation this message's connection belongs to. *)
   sent_at : int;
